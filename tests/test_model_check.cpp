@@ -8,6 +8,8 @@
 
 #include "core/bounded_arb.h"
 #include "core/params.h"
+#include "fault/adversary.h"
+#include "fault/fault_plan.h"
 #include "graph/generators.h"
 #include "graph/orientation.h"
 #include "mis/metivier.h"
@@ -260,6 +262,188 @@ TEST(ModelCheck, MetivierStaysWithinAllBudgets) {
   EXPECT_GE(report.k, 1u);
   EXPECT_LE(report.k, g.max_degree() + 1);
   EXPECT_LE(report.max_edge_bits_per_round, report.edge_bit_budget);
+}
+
+// ---------------------------------------------------------------------------
+// Frozen reports: the full ModelCheckReport of fixed runs, pinned so that a
+// change to the checker's bookkeeping cannot move what it reports. Every
+// run is repeated under executors {serial, 2, 8 workers} x {arena,
+// reference} inboxes and must hit the same pin.
+// ---------------------------------------------------------------------------
+
+/// The report fields a run can move, with both per-round series folded
+/// into one FNV-1a digest (lengths included).
+struct ReportPin {
+  std::uint32_t k = 0;
+  std::uint32_t max_edge_bits_per_round = 0;
+  std::uint32_t max_rng_reads_per_round = 0;
+  std::uint64_t violations = 0;
+  std::uint64_t series = 0;
+
+  friend bool operator==(const ReportPin&, const ReportPin&) = default;
+  friend std::ostream& operator<<(std::ostream& out, const ReportPin& p) {
+    return out << "{" << p.k << ", " << p.max_edge_bits_per_round << ", "
+               << p.max_rng_reads_per_round << ", " << p.violations << ", 0x"
+               << std::hex << p.series << std::dec << "ull}";
+  }
+};
+
+ReportPin pin_of(const ModelCheckReport& report) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (x >> (8 * byte)) & 0xFF;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const auto* series :
+       {&report.round_k, &report.round_max_message_bits}) {
+    mix(series->size());
+    for (const std::uint32_t x : *series) mix(x);
+  }
+  return {report.k, report.max_edge_bits_per_round,
+          report.max_rng_reads_per_round, report.violations, h};
+}
+
+struct ExecConfig {
+  std::uint32_t threads;
+  InboxImpl inbox;
+};
+
+constexpr ExecConfig kPinConfigs[] = {
+    {0, InboxImpl::kArena},  {2, InboxImpl::kArena},
+    {8, InboxImpl::kArena},  {0, InboxImpl::kReferenceVectors},
+    {2, InboxImpl::kReferenceVectors}, {8, InboxImpl::kReferenceVectors},
+};
+
+std::string config_label(const ExecConfig& c) {
+  return std::string(c.inbox == InboxImpl::kArena ? "arena" : "reference") +
+         "/t" + std::to_string(c.threads);
+}
+
+/// Runs `make_algorithm()` once per executor config and expects the pin.
+/// `duplicates` attaches a fault plan that duplicates (never drops)
+/// messages, which pushes recipients' inboxes past the arena capacity.
+template <typename MakeAlgorithm>
+void expect_report_pinned(const graph::Graph& g, std::uint64_t seed,
+                          NetworkOptions options, std::uint32_t max_rounds,
+                          bool duplicates, const ReportPin& expected,
+                          MakeAlgorithm&& make_algorithm) {
+  for (const ExecConfig& config : kPinConfigs) {
+    fault::IidAdversary adversary({.duplicate_rate = 0.3});
+    fault::FaultPlan plan(g, seed, adversary);
+    NetworkOptions run_options = options;
+    run_options.num_threads = config.threads;
+    run_options.inbox = config.inbox;
+    if (duplicates) run_options.fault = &plan;
+    Network net(g, seed, run_options);
+    auto algorithm = make_algorithm();
+    net.run(algorithm, max_rounds);
+    EXPECT_EQ(pin_of(net.model_check_report()), expected)
+        << config_label(config);
+    if (duplicates) {
+      EXPECT_GT(plan.totals().duplicates, 0u) << config_label(config);
+    }
+  }
+}
+
+graph::Graph pinned_hubbed_graph() {
+  util::Rng rng(101);
+  return graph::gen::hubbed_forest_union(2000, 2, 2, rng);
+}
+
+graph::Graph pinned_forest_graph() {
+  util::Rng rng(103);
+  return graph::gen::union_of_random_forests(600, 2, rng);
+}
+
+TEST(ModelCheckGolden, BoundedArbOnHubbedForestUnion) {
+  const graph::Graph g = pinned_hubbed_graph();
+  const core::Params params = core::Params::practical(2, g.max_degree());
+  const auto make = [&] {
+    return core::BoundedArbIndependentSet(g, params);
+  };
+  expect_report_pinned(g, 17, {}, params.total_rounds(), false,
+                       ReportPin{1001, 72, 1, 0, 0xb4d698fb4aa15ebull}, make);
+  expect_report_pinned(g, 17, {}, params.total_rounds(), true,
+                       ReportPin{1311, 72, 1, 0, 0x9183d80ff747352full}, make);
+}
+
+TEST(ModelCheckGolden, MetivierOnUnionOfRandomForests) {
+  const graph::Graph g = pinned_forest_graph();
+  const auto make = [&] { return mis::MetivierMis(g); };
+  expect_report_pinned(g, 19, {}, 1 << 12, false,
+                       ReportPin{12, 72, 1, 0, 0x80f9e2e69df84d2full}, make);
+  expect_report_pinned(g, 19, {}, 1 << 12, true,
+                       ReportPin{17, 72, 1, 0, 0x2301fdda1f7b154ull}, make);
+}
+
+/// For three rounds every node sends a bare message on port 0 *before*
+/// drawing (not randomness-bearing), then draws once and broadcasts the
+/// draw's low and high 16 bits on every port; node 0 adds the full draw on
+/// port 0 in round 0. With enforce_congest off every recipient's inbox
+/// overflows its one-slot-per-port arena region, and node 0's extra word
+/// busts its per-edge bit budget once per run.
+class DoubleBroadcaster : public Algorithm {
+ public:
+  std::string_view name() const override { return "double_broadcaster"; }
+  void on_start(NodeContext& ctx) override { step(ctx); }
+  void on_round(NodeContext& ctx, std::span<const Message>) override {
+    if (ctx.round() >= 3) {
+      ctx.halt();
+      return;
+    }
+    step(ctx);
+  }
+
+ private:
+  static void step(NodeContext& ctx) {
+    if (ctx.degree() == 0) return;
+    ctx.send(0, 1, ctx.id());
+    const std::uint64_t draw = ctx.rng().next();
+    ctx.broadcast(2, draw & 0xFFFF);
+    ctx.broadcast(2, draw >> 48);
+    if (ctx.id() == 0 && ctx.round() == 0) ctx.send(0, 2, draw);
+  }
+};
+
+TEST(ModelCheckGolden, CongestOffOverflowRuns) {
+  NetworkOptions options;
+  options.enforce_congest = false;
+  options.model_check.fail_fast = false;
+  // One edge's budget is at least 80 bits on these graphs; the three
+  // regular messages carry at most 19 + 24 + 24 bits, so node 0's
+  // full-word fourth message on port 0 in round 0 is the only excess.
+  const auto make = [] { return DoubleBroadcaster(); };
+  expect_report_pinned(pinned_hubbed_graph(), 23, options, 8, false,
+                       ReportPin{2001, 123, 1, 1, 0xddf66ab44c98e9e2ull}, make);
+  expect_report_pinned(pinned_forest_graph(), 29, options, 8, false,
+                       ReportPin{23, 120, 1, 1, 0x63ea5d13706136b6ull}, make);
+  expect_report_pinned(pinned_forest_graph(), 29, options, 8, true,
+                       ReportPin{29, 120, 1, 1, 0x5c286e8431ab01bcull}, make);
+}
+
+/// Every node broadcasts first and draws afterwards, so none of its
+/// messages carries the round's randomness: the only reader of each draw
+/// is the drawing node itself.
+class SendThenDraw : public Algorithm {
+ public:
+  std::string_view name() const override { return "send_then_draw"; }
+  void on_start(NodeContext& ctx) override {
+    ctx.broadcast(1, 7);
+    (void)ctx.rng().next();
+  }
+  void on_round(NodeContext& ctx, std::span<const Message>) override {
+    ctx.halt();
+  }
+};
+
+TEST(ModelCheckGolden, MessagesSentBeforeTheDrawAreNotCounted) {
+  const graph::Graph g = pinned_hubbed_graph();
+  const auto make = [] { return SendThenDraw(); };
+  const ReportPin self_read_only{1, 11, 1, 0, 0x33997e68cd31b6afull};
+  expect_report_pinned(g, 31, {}, 4, false, self_read_only, make);
+  expect_report_pinned(g, 31, {}, 4, true, self_read_only, make);
 }
 
 TEST(ModelCheckReport, SummaryMentionsKeyFields) {

@@ -8,6 +8,7 @@
 // sim/algorithm.h.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -640,11 +641,17 @@ struct StorageCase {
   graph::storage::MappedGraph mapped;
 };
 
+/// The file name carries the running test's name as well as the seed:
+/// ctest runs every case in its own process, and two cases sharing a path
+/// would truncate a file the other still has mapped (SIGBUS).
 StorageCase make_storage_case(std::uint64_t seed) {
   util::Rng rng(seed);
   graph::Graph g = graph::gen::hubbed_forest_union(300, 2, 4, rng);
+  std::string test_name =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::replace(test_name.begin(), test_name.end(), '/', '_');
   const std::string path = ::testing::TempDir() + "arbmis_equiv_" +
-                           std::to_string(seed) + ".gr";
+                           test_name + "_" + std::to_string(seed) + ".gr";
   graph::storage::write_gr(path, g);
   return {std::move(g), graph::storage::MappedGraph::open(path)};
 }
