@@ -25,6 +25,7 @@ struct Edge {
 };
 
 class GraphView;
+struct Subgraph;
 
 class Graph {
  public:
@@ -60,6 +61,9 @@ class Graph {
  private:
   friend class Builder;
   friend class GraphView;
+  // Writes the CSR of an induced copy directly (graph/subgraph.cpp).
+  friend Subgraph induced_subgraph(GraphView g,
+                                   std::span<const std::uint8_t> mask);
   NodeId num_nodes_ = 0;
   NodeId max_degree_ = 0;
   std::vector<std::uint64_t> offsets_;  // size n+1

@@ -13,8 +13,6 @@ namespace arbmis::sim {
 
 namespace {
 
-constexpr std::uint32_t kStaleEpoch = ~std::uint32_t{0};
-
 std::uint32_t ceil_log2(std::uint64_t x) noexcept {
   if (x <= 1) return 0;
   return static_cast<std::uint32_t>(std::bit_width(x - 1));
@@ -56,94 +54,24 @@ std::string ModelCheckReport::summary() const {
 
 ModelChecker::ModelChecker(graph::GraphView g, ModelCheckOptions options,
                            std::uint32_t allowed_messages_per_edge)
-    : options_(options), num_nodes_(g.num_nodes()) {
+    : options_(options) {
   if (!options_.enabled) return;
   const std::uint32_t per_message =
       std::max(options_.min_edge_bits,
                options_.log_n_factor *
-                   ceil_log2(static_cast<std::uint64_t>(num_nodes_) + 1));
+                   ceil_log2(static_cast<std::uint64_t>(g.num_nodes()) + 1));
   edge_bit_budget_ =
       per_message * std::max<std::uint32_t>(allowed_messages_per_edge, 1);
-  origin_offset_.resize(static_cast<std::size_t>(num_nodes_) + 1, 0);
-  for (graph::NodeId v = 0; v < num_nodes_; ++v) {
-    origin_offset_[v + 1] = origin_offset_[v] + g.degree(v);
-  }
-  const std::uint64_t slots = origin_offset_[num_nodes_];
-  edge_bits_.assign(slots, 0);
-  edge_bits_epoch_.assign(slots, kStaleEpoch);
-  rng_reads_.assign(num_nodes_, 0);
-  rng_epoch_.assign(num_nodes_, kStaleEpoch);
-  for (int s = 0; s < 2; ++s) {
-    mult_[s].assign(num_nodes_, 0);
-    mult_epoch_[s].assign(num_nodes_, kStaleEpoch);
-  }
-  origin_pending_.resize(slots);
-  origin_current_.resize(slots);
-  origin_count_pending_.assign(num_nodes_, 0);
-  origin_count_current_.assign(num_nodes_, 0);
-  origin_overflow_pending_.resize(num_nodes_);
-  origin_overflow_current_.resize(num_nodes_);
+  nodes_.resize(g.num_nodes());
   report_.edge_bit_budget = edge_bit_budget_;
 }
 
 void ModelChecker::begin_run() {
   if (!options_.enabled) return;
-  std::fill(edge_bits_epoch_.begin(), edge_bits_epoch_.end(), kStaleEpoch);
-  std::fill(rng_epoch_.begin(), rng_epoch_.end(), kStaleEpoch);
-  for (int s = 0; s < 2; ++s) {
-    std::fill(mult_epoch_[s].begin(), mult_epoch_[s].end(), kStaleEpoch);
-  }
-  std::fill(origin_count_pending_.begin(), origin_count_pending_.end(), 0u);
-  std::fill(origin_count_current_.begin(), origin_count_current_.end(), 0u);
-  if (origin_pending_dirty_) {
-    for (auto& box : origin_overflow_pending_) box.clear();
-    origin_pending_dirty_ = false;
-  }
-  if (origin_current_dirty_) {
-    for (auto& box : origin_overflow_current_) box.clear();
-    origin_current_dirty_ = false;
-  }
+  std::fill(nodes_.begin(), nodes_.end(), NodeLedger{});
   active_node_ = kNoNode;
   report_ = ModelCheckReport{};
   report_.edge_bit_budget = edge_bit_budget_;
-}
-
-void ModelChecker::begin_round(std::uint32_t round) {
-  if (!options_.enabled) return;
-  (void)round;
-  // Mirror the Network's inbox swap: what was sent last round is what gets
-  // consumed this round. Undelivered leftovers (halted recipients) die here.
-  std::swap(origin_current_, origin_pending_);
-  std::swap(origin_count_current_, origin_count_pending_);
-  std::fill(origin_count_pending_.begin(), origin_count_pending_.end(), 0u);
-  std::swap(origin_overflow_current_, origin_overflow_pending_);
-  std::swap(origin_current_dirty_, origin_pending_dirty_);
-  if (origin_pending_dirty_) {
-    for (auto& box : origin_overflow_pending_) box.clear();
-    origin_pending_dirty_ = false;
-  }
-}
-
-void ModelChecker::deliver_origin(graph::NodeId target, graph::NodeId origin) {
-  std::uint32_t& count = origin_count_pending_[target];
-  const std::uint64_t cap = origin_offset_[target + 1] - origin_offset_[target];
-  if (count < cap) [[likely]] {
-    origin_pending_[origin_offset_[target] + count] = origin;
-  } else {
-    origin_overflow_pending_[target].push_back(origin);
-    origin_pending_dirty_ = true;
-  }
-  ++count;
-}
-
-std::uint32_t& ModelChecker::stamped(std::vector<std::uint32_t>& counts,
-                                     std::vector<std::uint32_t>& epochs,
-                                     std::uint64_t i, std::uint32_t round) {
-  if (epochs[i] != round) {
-    epochs[i] = round;
-    counts[i] = 0;
-  }
-  return counts[i];
 }
 
 namespace {
@@ -156,9 +84,8 @@ std::string node_name(graph::NodeId v) {
 }  // namespace
 
 bool ModelChecker::on_send(ModelCheckerLane* lane, graph::NodeId from,
-                           graph::NodeId target, std::uint64_t slot,
-                           std::uint64_t payload, std::uint32_t round,
-                           std::uint8_t copies) {
+                           std::uint32_t& edge_bits, std::uint64_t payload,
+                           std::uint32_t round) {
   if (!options_.enabled) return false;
   const graph::NodeId active = lane ? lane->active_node : active_node_;
   if (from != active) {
@@ -181,43 +108,33 @@ bool ModelChecker::on_send(ModelCheckerLane* lane, graph::NodeId from,
         std::max(report_.round_max_message_bits[round], width);
   }
 
-  // Per-edge bits live in the sender's slots, which belong to exactly one
-  // worker during a parallel phase — safe to update in place either way.
-  std::uint32_t& bits =
-      stamped(edge_bits_, edge_bits_epoch_, slot, round);
-  bits += width;
+  // The edge record belongs to the sender, hence to exactly one worker
+  // during a parallel phase — safe to update in place either way.
+  edge_bits += width;
   if (lane) {
-    lane->max_edge_bits = std::max(lane->max_edge_bits, bits);
+    lane->max_edge_bits = std::max(lane->max_edge_bits, edge_bits);
   } else {
     report_.max_edge_bits_per_round =
-        std::max(report_.max_edge_bits_per_round, bits);
+        std::max(report_.max_edge_bits_per_round, edge_bits);
   }
-  if (bits > edge_bit_budget_) {
-    violation(lane, "message budget exceeded: " + std::to_string(bits) +
+  if (edge_bits > edge_bit_budget_) {
+    violation(lane, "message budget exceeded: " + std::to_string(edge_bits) +
                         " bits on one edge in round " +
                         std::to_string(round) + " (budget " +
                         std::to_string(edge_bit_budget_) + ")");
   }
 
   // A message sent after a draw in the same callback carries that round's
-  // randomness to `target`, which will read it on delivery — once per
-  // delivered copy, so dropped messages never enter the read-k ledger and
-  // duplicated ones enter it twice.
-  const bool rng_bearing =
-      rng_epoch_[from] == round && rng_reads_[from] > 0;
-  if (rng_bearing && !lane) {
-    for (std::uint8_t c = 0; c < copies; ++c) {
-      deliver_origin(target, from);
-    }
-  }
-  return rng_bearing && lane != nullptr;
+  // randomness to its recipient, which reads it once per delivered copy.
+  const Stamped& reads = nodes_[from].rng_reads;
+  return reads.epoch == round && reads.count > 0;
 }
 
 void ModelChecker::count_consumption(graph::NodeId origin,
                                      std::uint32_t draw_round) {
-  const int slot = draw_round & 1;
-  if (mult_epoch_[slot][origin] != draw_round) return;
-  const std::uint32_t m = ++mult_[slot][origin];
+  Stamped& mult = nodes_[origin].mult[draw_round & 1];
+  if (mult.epoch != draw_round) return;
+  const std::uint32_t m = ++mult.count;
   report_.k = std::max(report_.k, m);
   if (report_.round_k.size() <= draw_round) {
     report_.round_k.resize(draw_round + 1, 0);
@@ -225,39 +142,23 @@ void ModelChecker::count_consumption(graph::NodeId origin,
   report_.round_k[draw_round] = std::max(report_.round_k[draw_round], m);
 }
 
-void ModelChecker::on_consume(ModelCheckerLane* lane, graph::NodeId v,
+void ModelChecker::on_consume(ModelCheckerLane* lane,
+                              std::span<const Message> inbox,
+                              std::span<const std::uint8_t> rng_bearing,
                               std::uint32_t round) {
   if (!options_.enabled) return;
   if (round == 0) return;  // nothing in flight before round 1
-  std::uint32_t& count = origin_count_current_[v];
-  if (count == 0) return;
-  const std::uint64_t base = origin_offset_[v];
-  const std::uint64_t cap = origin_offset_[v + 1] - base;
-  const std::uint64_t in_arena = std::min<std::uint64_t>(count, cap);
   if (lane) {
     // Multiplicity counters are indexed by origin — a neighbor possibly
     // owned by another worker — so the counting is deferred to merge_lane.
-    const graph::NodeId* arena = origin_current_.data() + base;
-    lane->consumed_origins.insert(lane->consumed_origins.end(), arena,
-                                  arena + in_arena);
-    if (count > cap) {
-      auto& box = origin_overflow_current_[v];
-      lane->consumed_origins.insert(lane->consumed_origins.end(), box.begin(),
-                                    box.end());
-      box.clear();
+    for (std::size_t i = 0; i < inbox.size(); ++i) {
+      if (rng_bearing[i] != 0) lane->consumed_origins.push_back(inbox[i].src);
     }
-    count = 0;
     return;
   }
-  for (std::uint64_t i = 0; i < in_arena; ++i) {
-    count_consumption(origin_current_[base + i], round - 1);
+  for (std::size_t i = 0; i < inbox.size(); ++i) {
+    if (rng_bearing[i] != 0) count_consumption(inbox[i].src, round - 1);
   }
-  if (count > cap) {
-    auto& box = origin_overflow_current_[v];
-    for (graph::NodeId origin : box) count_consumption(origin, round - 1);
-    box.clear();
-  }
-  count = 0;
 }
 
 void ModelChecker::on_rng_read(ModelCheckerLane* lane, graph::NodeId v,
@@ -269,7 +170,7 @@ void ModelChecker::on_rng_read(ModelCheckerLane* lane, graph::NodeId v,
                         "'s private stream read while node " +
                         node_name(active) + " was scheduled");
   }
-  const std::uint32_t reads = ++stamped(rng_reads_, rng_epoch_, v, round);
+  const std::uint32_t reads = ++nodes_[v].rng_reads.at(round);
   if (lane) {
     lane->max_rng_reads = std::max(lane->max_rng_reads, reads);
   } else {
@@ -288,9 +189,7 @@ void ModelChecker::on_rng_read(ModelCheckerLane* lane, graph::NodeId v,
     // Fresh per-round randomness: the drawing node is its first reader.
     // The parity ledger slot belongs to v (this worker); only the shared
     // report update is staged in the lane.
-    const int slot = round & 1;
-    mult_epoch_[slot][v] = round;
-    mult_[slot][v] = 1;
+    nodes_[v].mult[round & 1] = Stamped{round, 1};
     if (lane) {
       lane->any_first_draw = true;
     } else {
@@ -311,12 +210,6 @@ void ModelChecker::on_halt(ModelCheckerLane* lane, graph::NodeId v) {
                         " halted while node " + node_name(active) +
                         " was scheduled");
   }
-}
-
-void ModelChecker::on_delivered_origin(graph::NodeId target,
-                                       graph::NodeId origin) {
-  if (!options_.enabled) return;
-  deliver_origin(target, origin);
 }
 
 void ModelChecker::merge_lane(ModelCheckerLane& lane, std::uint32_t round) {

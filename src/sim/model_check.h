@@ -14,8 +14,8 @@
 //      sampling a *different* node's private stream.
 //
 // ModelChecker turns each of these into an enforced runtime invariant.
-// Network calls the hooks below on every send, delivery, RNG read, and
-// callback boundary; a violation is reported through util/log and (by
+// Network calls the hooks below on every send, inbox consumption, RNG read,
+// and callback boundary; a violation is reported through util/log and (by
 // default) aborts the run with CongestViolation. The checker also keeps
 // the read-k ledger the paper's analysis is built on: when a node draws
 // fresh randomness in round r, the draw is "read" once by the node itself
@@ -25,15 +25,30 @@
 // ReadKFamily::read_k() in src/readk/family.h: on a run of
 // BoundedArbIndependentSet the two quantities coincide (see
 // tests/test_model_check.cpp).
+//
+// Ledger layout (flag in the arena): the checker keeps no message storage
+// of its own. on_send tells the Network whether a message carries its
+// sender's randomness of the round; the Network stores that answer as a
+// one-byte flag beside every delivered copy — next to the message's arena
+// slot, in the overflow side buffer, or in the reference inbox vector —
+// and the staged lane path carries it inside the staged send. The origin
+// of a randomness-bearing message is simply its `src`, so on_consume walks
+// the recipient's inbox and counts `src` of each flagged message. Dropped
+// copies are never delivered and duplicated ones are delivered (and
+// counted) once per copy. The per-edge bit counter is a field of the
+// Network's per-directed-edge load record, stamped with the same round
+// epoch as the message count it sits beside.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "graph/graph.h"
 #include "sim/fault_hooks.h"
+#include "sim/message.h"
 
 namespace arbmis::sim {
 
@@ -99,9 +114,9 @@ struct ModelCheckReport {
 /// violation counts, and the consumed-origin list of the read-k ledger —
 /// into its own lane; ModelChecker::merge_lane folds the lanes back in
 /// shard (= node-id) order at the round barrier, so the merged report is
-/// byte-identical to a serial run. Per-node/per-edge counters stay in the
-/// checker's shared arrays even during a parallel phase: every slot there
-/// is owned by exactly one node and therefore by exactly one worker.
+/// byte-identical to a serial run. Per-node/per-edge counters stay in
+/// shared arrays even during a parallel phase: every slot there is owned
+/// by exactly one node and therefore by exactly one worker.
 struct ModelCheckerLane {
   /// Node whose callback this worker is executing (the pinning check).
   graph::NodeId active_node;
@@ -150,8 +165,6 @@ class ModelChecker {
 
   /// Resets per-run state (Network::run calls this at the top of each run).
   void begin_run();
-  /// Marks the delivery boundary of `round` (mirrors the inbox swap).
-  void begin_round(std::uint32_t round);
   /// Pins the node whose callback is executing; kNoNode between callbacks.
   void begin_callback(ModelCheckerLane* lane, graph::NodeId v) noexcept {
     (lane ? lane->active_node : active_node_) = v;
@@ -160,26 +173,23 @@ class ModelChecker {
     (lane ? lane->active_node : active_node_) = kNoNode;
   }
 
-  /// Hook for every send: `slot` is the directed-edge slot (shared with
-  /// Network's per-edge counters). Enforces the bit budget and tags the
-  /// message as randomness-bearing if `from` drew earlier this round.
-  /// `copies` is the number of inbox copies the network will deliver
-  /// (faults make it 0 = dropped or 2 = duplicated; 1 otherwise). The
-  /// sender is charged its full CONGEST budget regardless — it sent the
-  /// message even if the network ate it — but only delivered copies enter
-  /// the read-k ledger. Returns true iff the message is randomness-bearing
-  /// AND the lane path is active — the caller must then report each
-  /// delivered copy via on_delivered_origin during its merge (the serial
-  /// path records the origins internally and always returns false).
+  /// Hook for every send. `edge_bits` is the sending directed edge's
+  /// cumulative bit count this round — a field of the Network's per-edge
+  /// load record, already reset for `round`. Enforces the bit budget and
+  /// returns true iff the message is randomness-bearing (`from` drew
+  /// earlier this round); the Network stores that flag beside every copy
+  /// it delivers. The sender is charged its full CONGEST budget even when
+  /// faults drop the message.
   bool on_send(ModelCheckerLane* lane, graph::NodeId from,
-               graph::NodeId target, std::uint64_t slot,
-               std::uint64_t payload, std::uint32_t round,
-               std::uint8_t copies = 1);
+               std::uint32_t& edge_bits, std::uint64_t payload,
+               std::uint32_t round);
 
   /// Hook for each node about to consume its inbox this round: counts the
-  /// read multiplicity of every randomness-bearing message delivered to it
-  /// (lane path: defers the counting to merge_lane).
-  void on_consume(ModelCheckerLane* lane, graph::NodeId v,
+  /// read multiplicity of `src` of every message whose flag is set
+  /// (`rng_bearing[i]` belongs to `inbox[i]`; lane path: defers the
+  /// counting to merge_lane).
+  void on_consume(ModelCheckerLane* lane, std::span<const Message> inbox,
+                  std::span<const std::uint8_t> rng_bearing,
                   std::uint32_t round);
 
   /// Hook for one logical draw from node v's private stream.
@@ -188,10 +198,6 @@ class ModelChecker {
 
   /// Hook for a halt request (cross-node halt is a state write).
   void on_halt(ModelCheckerLane* lane, graph::NodeId v);
-
-  /// Records a staged randomness-bearing delivery (parallel merge path;
-  /// mirrors what the serial on_send does internally).
-  void on_delivered_origin(graph::NodeId target, graph::NodeId origin);
 
   /// Folds one worker's staged accounting into the shared report. Called
   /// at the round barrier in shard order; `round` is the round the lane's
@@ -206,56 +212,40 @@ class ModelChecker {
   void end_run(std::uint32_t rounds);
 
  private:
+  /// A count valid while `epoch` equals the current round.
+  struct Stamped {
+    std::uint32_t epoch = ~std::uint32_t{0};
+    std::uint32_t count = 0;
+
+    std::uint32_t& at(std::uint32_t round) noexcept {
+      if (epoch != round) {
+        epoch = round;
+        count = 0;
+      }
+      return count;
+    }
+  };
+
+  /// Per-node ledger, one record per node so a draw and a consumption
+  /// each touch one record. `rng_reads` counts v's draws this
+  /// round (v "drew this round" iff it is non-zero for the round). A draw
+  /// made in round r is consumed by neighbors in round r + 1, when v may
+  /// already be drawing again, so the read multiplicity keeps two slots
+  /// indexed by round parity: `mult[r & 1]` counts the readers of v's
+  /// round-r draw while its epoch is r.
+  struct NodeLedger {
+    Stamped rng_reads;
+    Stamped mult[2];
+  };
+
   void violation(ModelCheckerLane* lane, const std::string& what);
   /// Bumps the read multiplicity of `origin`'s round-`draw_round` draw.
   void count_consumption(graph::NodeId origin, std::uint32_t draw_round);
-  /// Appends one randomness-bearing delivery to the pending origin arena
-  /// (side buffer past the recipient's per-directed-edge capacity).
-  void deliver_origin(graph::NodeId target, graph::NodeId origin);
-  /// Lazily epoch-stamped per-round counters.
-  std::uint32_t& stamped(std::vector<std::uint32_t>& counts,
-                         std::vector<std::uint32_t>& epochs, std::uint64_t i,
-                         std::uint32_t round);
 
   ModelCheckOptions options_;
-  std::uint32_t num_nodes_ = 0;
   std::uint32_t edge_bit_budget_ = 0;  ///< budget for all allowed messages
   graph::NodeId active_node_ = kNoNode;
-
-  // Per-directed-edge cumulative bits this round, epoch-stamped.
-  std::vector<std::uint32_t> edge_bits_;
-  std::vector<std::uint32_t> edge_bits_epoch_;
-
-  // Per-node RNG draws this round, epoch-stamped. A node "drew this round"
-  // iff rng_epoch_[v] == round and rng_reads_[v] > 0.
-  std::vector<std::uint32_t> rng_reads_;
-  std::vector<std::uint32_t> rng_epoch_;
-
-  // Read multiplicity of v's per-round randomness. A draw made in round r
-  // is consumed by neighbors in round r + 1, when v may already be drawing
-  // again — so the ledger keeps two slots indexed by round parity.
-  // mult_[r & 1][v] counts consumers of v's round-r draw and is valid while
-  // mult_epoch_[r & 1][v] == r.
-  std::vector<std::uint32_t> mult_[2];
-  std::vector<std::uint32_t> mult_epoch_[2];
-
-  // Origins of randomness-bearing messages in flight / being delivered,
-  // mirroring Network's message-arena swap: a flat arena with one origin
-  // slot per directed edge in CSR order (origin_offset_ = the same layout
-  // as Network's edge_offset_), per-recipient fill counts, and per-node
-  // side buffers for deliveries past capacity (fault duplicates or
-  // congest-off runs). Zero allocations on the fault-free path; fill
-  // order is ascending sender per recipient, identical to the pre-arena
-  // per-node vectors.
-  std::vector<std::uint64_t> origin_offset_;  // size n+1
-  std::vector<graph::NodeId> origin_pending_;
-  std::vector<graph::NodeId> origin_current_;
-  std::vector<std::uint32_t> origin_count_pending_;
-  std::vector<std::uint32_t> origin_count_current_;
-  std::vector<std::vector<graph::NodeId>> origin_overflow_pending_;
-  std::vector<std::vector<graph::NodeId>> origin_overflow_current_;
-  bool origin_pending_dirty_ = false;
-  bool origin_current_dirty_ = false;
+  std::vector<NodeLedger> nodes_;
 
   ModelCheckReport report_;
 };

@@ -78,17 +78,17 @@ Network::Network(graph::GraphView g, std::uint64_t seed,
   for (graph::NodeId v = 0; v < n; ++v) {
     edge_offset_[v + 1] = edge_offset_[v] + g.degree(v);
   }
-  edge_sends_.assign(edge_offset_[n], 0);
-  edge_epoch_.assign(edge_offset_[n], ~std::uint32_t{0});
+  edge_load_.resize(edge_offset_[n]);
   if (use_arena_) {
     // All storage a run can touch on the fault-free path, sized once: one
-    // Message slot per directed edge, double-buffered, plus fill counts.
+    // Message slot and one flag per directed edge, double-buffered, plus
+    // fill counts.
     arena_cur_.resize(edge_offset_[n]);
     arena_next_.resize(edge_offset_[n]);
+    bearing_cur_.resize(edge_offset_[n]);
+    bearing_next_.resize(edge_offset_[n]);
     inbox_count_cur_.assign(n, 0);
     inbox_count_next_.assign(n, 0);
-    overflow_cur_.resize(n);
-    overflow_next_.resize(n);
   } else {
     inbox_.resize(n);
     next_inbox_.resize(n);
@@ -100,43 +100,55 @@ Network::Network(graph::GraphView g, std::uint64_t seed,
   }
 }
 
-void Network::deliver(graph::NodeId target, const Message& msg) {
+void Network::deliver(graph::NodeId target, const Message& msg,
+                      bool rng_bearing) {
   ++in_flight_next_;
-  if (use_arena_) {
-    std::uint32_t& count = inbox_count_next_[target];
-    if (count < graph_.degree(target)) [[likely]] {
-      arena_next_[edge_offset_[target] + count] = msg;
-    } else {
-      // Past one-per-directed-edge capacity: fault duplicates, or a run
-      // with enforce_congest off. Order is preserved — the side buffer
-      // holds exactly the suffix of the node's delivery sequence.
-      overflow_next_[target].push_back(msg);
-      overflow_next_dirty_ = true;
-    }
-    ++count;
-  } else {
-    next_inbox_[target].push_back(msg);
+  if (!use_arena_) {
+    next_inbox_[target].push(msg, rng_bearing);
+    return;
   }
+  std::uint32_t& count = inbox_count_next_[target];
+  const std::uint64_t base = edge_offset_[target];
+  if (count < edge_offset_[target + 1] - base) [[likely]] {
+    arena_next_[base + count] = msg;
+    bearing_next_[base + count] = rng_bearing ? 1 : 0;
+  } else {
+    // Past one-per-directed-edge capacity: fault duplicates, or a run
+    // with enforce_congest off. Order is preserved — the side buffer
+    // holds exactly the suffix of the node's delivery sequence.
+    if (overflow_next_.empty()) {
+      overflow_cur_.resize(graph_.num_nodes());
+      overflow_next_.resize(graph_.num_nodes());
+    }
+    overflow_next_[target].push(msg, rng_bearing);
+    overflow_next_dirty_ = true;
+  }
+  ++count;
 }
 
-std::span<const Message> Network::current_inbox(graph::NodeId v,
-                                                ExecLane* lane) {
-  if (!use_arena_) return inbox_[v];
+Network::Inbox Network::current_inbox(graph::NodeId v, ExecLane* lane) {
+  if (!use_arena_) return {inbox_[v].messages, inbox_[v].rng_bearing};
   const std::uint32_t count = inbox_count_cur_[v];
   const std::uint64_t base = edge_offset_[v];
-  const graph::NodeId cap = graph_.degree(v);
+  const std::uint64_t cap = edge_offset_[v + 1] - base;
   if (count <= cap) [[likely]] {
-    return std::span<const Message>(arena_cur_.data() + base, count);
+    return {{arena_cur_.data() + base, count},
+            {bearing_cur_.data() + base, count}};
   }
   // Overflowed inbox: splice region + side buffer into contiguous scratch
   // (per-worker under the parallel executor; the callback only needs the
-  // span for its own duration).
-  std::vector<Message>& scratch = lane ? lane->scratch : scratch_inbox_;
-  scratch.assign(arena_cur_.begin() + static_cast<std::ptrdiff_t>(base),
-                 arena_cur_.begin() + static_cast<std::ptrdiff_t>(base + cap));
-  scratch.insert(scratch.end(), overflow_cur_[v].begin(),
-                 overflow_cur_[v].end());
-  return scratch;
+  // spans for its own duration).
+  FlaggedInbox& scratch = lane ? lane->scratch : scratch_inbox_;
+  const FlaggedInbox& box = overflow_cur_[v];
+  scratch.messages.assign(arena_cur_.data() + base,
+                          arena_cur_.data() + base + cap);
+  scratch.messages.insert(scratch.messages.end(), box.messages.begin(),
+                          box.messages.end());
+  scratch.rng_bearing.assign(bearing_cur_.data() + base,
+                             bearing_cur_.data() + base + cap);
+  scratch.rng_bearing.insert(scratch.rng_bearing.end(),
+                             box.rng_bearing.begin(), box.rng_bearing.end());
+  return {scratch.messages, scratch.rng_bearing};
 }
 
 void Network::do_send(ExecLane* lane, graph::NodeId from, graph::NodeId port,
@@ -145,14 +157,12 @@ void Network::do_send(ExecLane* lane, graph::NodeId from, graph::NodeId port,
   if (port >= nbrs.size()) {
     throw std::logic_error("send: port out of range");
   }
-  // The (from, port) counter slot is owned by the sender, hence by exactly
+  // The (from, port) load record is owned by the sender, hence by exactly
   // one worker — updated in place under both executors.
   const std::uint64_t slot = edge_offset_[from] + port;
-  if (edge_epoch_[slot] != round_) {
-    edge_epoch_[slot] = round_;
-    edge_sends_[slot] = 0;
-  }
-  const std::uint32_t load = ++edge_sends_[slot];
+  EdgeLoad& edge = edge_load_[slot];
+  if (edge.epoch != round_) edge = EdgeLoad{round_, 0, 0};
+  const std::uint32_t load = ++edge.messages;
   if (options_.enforce_congest &&
       load > options_.max_messages_per_edge_per_round) {
     throw std::logic_error(
@@ -176,9 +186,8 @@ void Network::do_send(ExecLane* lane, graph::NodeId from, graph::NodeId port,
           std::uint64_t{copies} - 1;
     }
   }
-  const bool rng_bearing =
-      checker_.on_send(lane ? &lane->check : nullptr, from, target, slot,
-                       payload, round_, copies);
+  const bool rng_bearing = checker_.on_send(
+      lane ? &lane->check : nullptr, from, edge.bits, payload, round_);
   if (lane) {
     lane->max_edge_load = std::max(lane->max_edge_load, load);
     if (copies > 0) {
@@ -189,7 +198,7 @@ void Network::do_send(ExecLane* lane, graph::NodeId from, graph::NodeId port,
   } else {
     stats_.max_edge_load = std::max(stats_.max_edge_load, load);
     for (std::uint8_t c = 0; c < copies; ++c) {
-      deliver(target, Message{from, tag, payload});
+      deliver(target, Message{from, tag, payload}, rng_bearing);
     }
   }
 }
@@ -220,24 +229,24 @@ void Network::step_node(Algorithm& algorithm, graph::NodeId v,
   if (round_ == 0) {
     algorithm.on_start(ctx);
   } else {
-    checker_.on_consume(check, v, round_);
-    const std::span<const Message> inbox = current_inbox(v, lane);
-    algorithm.on_round(ctx, inbox);
+    const Inbox inbox = current_inbox(v, lane);
+    checker_.on_consume(check, inbox.messages, inbox.rng_bearing, round_);
+    algorithm.on_round(ctx, inbox.messages);
     // Actual-width accounting (RoundDelta::payload_bits): sum the real
     // per-message widths of the consumed inbox. Commutative, so worker
     // threads may feed the attached registry's histogram directly.
     std::uint64_t consumed_bits = 0;
     obs::Registry* const reg = obs::registry();
-    for (const Message& m : inbox) {
+    for (const Message& m : inbox.messages) {
       const std::uint64_t bits = message_bits(m);
       consumed_bits += bits;
       if (reg != nullptr) reg->observe("sim.message_bits", bits);
     }
     if (lane) {
-      lane->messages += inbox.size();
+      lane->messages += inbox.messages.size();
       lane->payload_bits += consumed_bits;
     } else {
-      stats_.messages += inbox.size();
+      stats_.messages += inbox.messages.size();
       round_payload_bits_ += consumed_bits;
     }
   }
@@ -310,10 +319,7 @@ void Network::run_phase_parallel(Algorithm& algorithm) {
       // copies > 1 = network duplication: each delivered copy is one inbox
       // entry and (if randomness-bearing) one read-k ledger entry.
       for (std::uint8_t c = 0; c < staged.copies; ++c) {
-        deliver(staged.target, staged.msg);
-        if (staged.rng_bearing) {
-          checker_.on_delivered_origin(staged.target, staged.msg.src);
-        }
+        deliver(staged.target, staged.msg, staged.rng_bearing);
       }
     }
     stats_.messages += lane.messages;
@@ -364,7 +370,7 @@ RunStats Network::run(Algorithm& algorithm, std::uint32_t max_rounds,
   }
   in_flight_next_ = 0;
   rng_draws_ = 0;
-  std::fill(edge_epoch_.begin(), edge_epoch_.end(), ~std::uint32_t{0});
+  std::fill(edge_load_.begin(), edge_load_.end(), EdgeLoad{});
   last_round_ = RoundDelta{};
   round_fault_drops_ = 0;
   round_fault_duplicates_ = 0;
@@ -401,6 +407,7 @@ RunStats Network::run(Algorithm& algorithm, std::uint32_t max_rounds,
     // Deliver: next becomes current.
     if (use_arena_) {
       std::swap(arena_cur_, arena_next_);
+      std::swap(bearing_cur_, bearing_next_);
       std::swap(inbox_count_cur_, inbox_count_next_);
       std::fill(inbox_count_next_.begin(), inbox_count_next_.end(), 0);
       std::swap(overflow_cur_, overflow_next_);
@@ -415,7 +422,6 @@ RunStats Network::run(Algorithm& algorithm, std::uint32_t max_rounds,
     }
     in_flight_next_ = 0;
     ++round_;
-    checker_.begin_round(round_);
     events = RoundFaultEvents{};
     if (fault_ != nullptr) events = fault_->begin_round(round_, halted_);
     messages_before = stats_.messages;

@@ -51,7 +51,11 @@
 // traffic at one message per directed edge per round, so instead of one
 // heap vector per node the default inbox is a flat arena with exactly one
 // Message slot per directed edge, laid out in the CSR edge order the
-// per-edge counters already use (slot base of node v = edge_offset_[v]).
+// per-edge load records already use (slot base of node v =
+// edge_offset_[v]). Beside every slot sits the one-byte read-k flag the
+// ModelChecker's ledger runs on (1 iff the message carries its sender's
+// randomness of the round it was sent in); overflow side buffers and the
+// reference inbox vectors carry the same flag per message.
 // A send appends at inbox_count_next_[target], so node v's inbox is the
 // contiguous range [edge_offset_[v], edge_offset_[v] + count) of the
 // arena — filled in ascending sender id, which for sorted adjacency IS
@@ -171,6 +175,24 @@ struct RunStats {
   void absorb(const RunStats& other) noexcept;
 };
 
+/// Messages together with their read-k flags, slot for slot:
+/// `rng_bearing[i]` is 1 iff `messages[i]` carries its sender's randomness
+/// of the round it was sent in. The storage of the reference inboxes, of
+/// the arena's overflow side buffers, and of overflow scratch copies.
+struct FlaggedInbox {
+  std::vector<Message> messages;
+  std::vector<std::uint8_t> rng_bearing;
+
+  void push(const Message& msg, bool bearing) {
+    messages.push_back(msg);
+    rng_bearing.push_back(bearing ? 1 : 0);
+  }
+  void clear() noexcept {
+    messages.clear();
+    rng_bearing.clear();
+  }
+};
+
 /// Per-worker staging area of the parallel round executor. Everything a
 /// callback would have written to shared simulator state is buffered here
 /// and merged at the round barrier in shard order (see the determinism-
@@ -201,7 +223,7 @@ struct ExecLane {
   /// for the duration of one callback; unused — and never allocated — on
   /// the fault-free path. Not cleared by reset(): it is transient per
   /// callback and keeps its capacity across rounds.
-  std::vector<Message> scratch;
+  FlaggedInbox scratch;
   ModelCheckerLane check;
 
   void reset() noexcept {
@@ -262,8 +284,9 @@ class Network {
   /// (valid at round barriers, e.g. inside a RoundObserver; test hooks).
   std::uint64_t in_flight() const noexcept { return in_flight_next_; }
   std::uint32_t staged_inbox_size(graph::NodeId v) const noexcept {
-    return use_arena_ ? inbox_count_next_[v]
-                      : static_cast<std::uint32_t>(next_inbox_[v].size());
+    return use_arena_
+               ? inbox_count_next_[v]
+               : static_cast<std::uint32_t>(next_inbox_[v].messages.size());
   }
   /// Staged messages for v that exceeded its per-directed-edge slot
   /// capacity and sit in the overflow side buffer (0 on the normal path).
@@ -307,15 +330,21 @@ class Network {
   void do_halt(ExecLane* lane, graph::NodeId v);
   /// Accounts one logical draw from v's stream, then exposes it.
   util::Rng& draw_rng(ExecLane* lane, graph::NodeId v);
-  /// Appends one inbox copy for `target` to next-round storage: an arena
-  /// slot write on the fast path (side buffer past capacity), a push_back
-  /// under the reference implementation. Serial in both executors (the
-  /// parallel path reaches here only through the barrier merge).
-  void deliver(graph::NodeId target, const Message& msg);
-  /// The inbox being consumed this round, as contiguous storage. Arena
-  /// overflow (fault duplicates / congest-off runs) is materialized into
-  /// the caller's scratch buffer; the fast path is a span into the arena.
-  std::span<const Message> current_inbox(graph::NodeId v, ExecLane* lane);
+  /// Appends one inbox copy for `target` to next-round storage, with its
+  /// read-k flag: an arena slot write on the fast path (side buffer past
+  /// capacity), a push_back under the reference implementation. Serial in
+  /// both executors (the parallel path reaches here only through the
+  /// barrier merge).
+  void deliver(graph::NodeId target, const Message& msg, bool rng_bearing);
+  /// The inbox being consumed this round with its read-k flags, as
+  /// contiguous storage. Arena overflow (fault duplicates / congest-off
+  /// runs) is materialized into the caller's scratch buffer; the fast path
+  /// is a pair of spans into the arena.
+  struct Inbox {
+    std::span<const Message> messages;
+    std::span<const std::uint8_t> rng_bearing;
+  };
+  Inbox current_inbox(graph::NodeId v, ExecLane* lane);
 
   /// Runs one callback phase (on_start when round_ == 0, else on_round)
   /// over all non-halted nodes, serially or on the worker pool.
@@ -343,31 +372,40 @@ class Network {
 
   // Message arena: one slot per directed edge in CSR order (node v's inbox
   // region is [edge_offset_[v], edge_offset_[v+1])), double-buffered for
-  // the deliver/fill round phases, with a per-node fill count. Messages
-  // past a node's region capacity — only possible with fault duplicates or
-  // enforce_congest off — land in the per-node overflow side buffers,
-  // whose dirty flags make the common no-overflow round reset O(1).
+  // the deliver/fill round phases, with a per-slot read-k flag and a
+  // per-node fill count. Messages past a node's region capacity — only
+  // possible with fault duplicates or enforce_congest off — land in the
+  // per-node overflow side buffers, which are sized on the first overflow
+  // and whose dirty flags make the common no-overflow round reset O(1).
   std::vector<Message> arena_cur_;
   std::vector<Message> arena_next_;
+  std::vector<std::uint8_t> bearing_cur_;
+  std::vector<std::uint8_t> bearing_next_;
   std::vector<std::uint32_t> inbox_count_cur_;
   std::vector<std::uint32_t> inbox_count_next_;
-  std::vector<std::vector<Message>> overflow_cur_;
-  std::vector<std::vector<Message>> overflow_next_;
+  std::vector<FlaggedInbox> overflow_cur_;
+  std::vector<FlaggedInbox> overflow_next_;
   bool overflow_cur_dirty_ = false;
   bool overflow_next_dirty_ = false;
-  std::vector<Message> scratch_inbox_;  ///< serial-path overflow staging
-  std::uint64_t in_flight_next_ = 0;    ///< messages staged for next round
+  FlaggedInbox scratch_inbox_;        ///< serial-path overflow staging
+  std::uint64_t in_flight_next_ = 0;  ///< messages staged for next round
 
   // Reference implementation (InboxImpl::kReferenceVectors): the pre-arena
   // per-node inbox vectors, kept for differential testing.
-  std::vector<std::vector<Message>> inbox_;
-  std::vector<std::vector<Message>> next_inbox_;
+  std::vector<FlaggedInbox> inbox_;
+  std::vector<FlaggedInbox> next_inbox_;
 
-  // Per-directed-edge send counters, epoch-stamped by round to avoid a
-  // clear per round. Slot for (v, port) = edge_slot_offset_[v] + port.
+  // Per-directed-edge load of the current round, one record per slot
+  // ((v, port) = edge_offset_[v] + port), epoch-stamped by round to avoid
+  // a clear per round: the message count the CONGEST cap checks and the
+  // bit count the ModelChecker budgets.
+  struct EdgeLoad {
+    std::uint32_t epoch = ~std::uint32_t{0};
+    std::uint32_t messages = 0;
+    std::uint32_t bits = 0;
+  };
   std::vector<std::uint64_t> edge_offset_;
-  std::vector<std::uint32_t> edge_sends_;
-  std::vector<std::uint32_t> edge_epoch_;
+  std::vector<EdgeLoad> edge_load_;
 
   // Parallel executor state (empty in serial mode).
   std::unique_ptr<ThreadPool> pool_;
