@@ -137,9 +137,11 @@ TEST(FaultPlan, LedgerSumsToTotalsAndReachesTheReport) {
   sim::NetworkOptions options;
   options.fault = &plan;
   sim::Network net(g, 3, options);
-  sim::Trace trace;
+  std::vector<sim::RoundDelta> deltas;
   mis::LubyBMis algo(g);
-  net.run(algo, 2048, trace.observer());
+  net.run(algo, 2048, [&deltas](const sim::Network& network, std::uint32_t) {
+    deltas.push_back(network.last_round());
+  });
 
   sim::FaultTotals summed;
   for (const fault::LedgerEntry& entry : plan.ledger()) {
@@ -153,10 +155,10 @@ TEST(FaultPlan, LedgerSumsToTotalsAndReachesTheReport) {
   EXPECT_GT(summed.duplicates, 0u);
   // The same totals surface through the model-check report ...
   EXPECT_EQ(net.model_check_report().faults, plan.totals());
-  // ... and per round through the trace (skipping round 0, which the
+  // ... and per round through last_round() (skipping round 0, which the
   // observer does not see).
   sim::FaultTotals traced;
-  for (const sim::Trace::RoundRecord& rec : trace.records()) {
+  for (const sim::RoundDelta& rec : deltas) {
     traced.drops += rec.fault_drops;
     traced.duplicates += rec.fault_duplicates;
     traced.crashes += rec.fault_crashes;

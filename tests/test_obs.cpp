@@ -470,6 +470,70 @@ TEST(ObsRecorder, AutoDumpWithoutPathIsANoOp) {
   EXPECT_FALSE(obs::recorder_auto_dump("nobody_attached"));
 }
 
+TEST(ObsSink, BinaryWriterAndRecorderEncodeIdenticalRecords) {
+  // A .bin file and a recorder snapshot are the same ARBMISEV artifact:
+  // equal header for the same manifest, equal record bytes for the same
+  // events. Covers every kind, every value count, varints at their length
+  // edges, and empty and longest-untruncated text; the FNV-1a pin freezes
+  // the record bytes themselves.
+  constexpr std::uint64_t kEdges[] = {0, 127, 128, std::uint64_t{1} << 63};
+  constexpr std::uint32_t kRounds[] = {0, 127, 128, ~std::uint32_t{0}};
+  const std::string long_text(obs::kMaxRecorderText - 1, 'z');
+  const std::string path = tmp_path("obs_identical_records.bin");
+
+  obs::SinkConfig every_kind;
+  every_kind.exec = true;
+  obs::RecorderConfig recorder_config;
+  recorder_config.exec = true;
+  obs::FlightRecorder recorder(recorder_config);
+  obs::Manifest manifest = obs::make_manifest("test_obs");
+  manifest.seed = 7;
+  recorder.attach_manifest(manifest);
+
+  std::size_t emitted = 0;
+  {
+    obs::BinaryWriter writer(path, every_kind);
+    writer.attach_manifest(manifest);
+    for (std::uint8_t k = 0;
+         k < static_cast<std::uint8_t>(obs::EventKind::kCount); ++k) {
+      for (const std::string_view text : {std::string_view{},
+                                          std::string_view{long_text}}) {
+        for (std::uint32_t i = 0; i < 4; ++i) {
+          obs::Event e;
+          e.kind = static_cast<obs::EventKind>(k);
+          e.round = kRounds[(i + k) % 4];
+          e.text = text;
+          e.num_values = (k + 3 * i) % (obs::kMaxEventValues + 1);
+          for (std::uint32_t j = 0; j < e.num_values; ++j) {
+            e.values[j] = kEdges[(i + j) % 4];
+          }
+          writer.emit(e);
+          recorder.record(e);
+          ++emitted;
+        }
+      }
+    }
+  }
+
+  const std::string file = read_file(path);
+  const std::size_t header_end = skip_header(file);
+  const std::string ring = recorder.ring_bytes();
+  EXPECT_EQ(file.substr(header_end), ring);
+  const std::string snapshot = recorder.snapshot("identical");
+  EXPECT_EQ(snapshot.substr(0, header_end), file.substr(0, header_end));
+  EXPECT_EQ(snapshot.substr(header_end, ring.size()), ring);
+  EXPECT_EQ(decode_records(ring).size(), emitted);
+  EXPECT_EQ(recorder.stats().evicted_events, 0u);
+
+  // Pinned over the records and the dump trailer.
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : snapshot.substr(header_end)) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  EXPECT_EQ(hash, 0xa465e63e0621e744ULL) << std::hex << hash;
+}
+
 // ---------------------------------------------------------------------------
 // Registry: counters, gauges, histograms, round series, JSON stability.
 // ---------------------------------------------------------------------------

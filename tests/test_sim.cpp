@@ -198,29 +198,36 @@ TEST(Network, ObserverSeesEveryRound) {
 }
 
 TEST(Trace, RecordsHaltProgress) {
+  // A RoundObserver sees the cumulative halted count at every barrier:
+  // path(4) under FloodAlgorithm(4, 3) halts all 4 nodes in round 3 and
+  // none before.
   const graph::Graph g = graph::gen::path(4);
   Network net(g, 3);
   FloodAlgorithm algorithm(4, 3);
-  Trace trace;
-  net.run(algorithm, 10, trace.observer());
-  ASSERT_EQ(trace.records().size(), 3u);
-  EXPECT_EQ(trace.records().back().halted, 4u);
-  EXPECT_EQ(trace.round_reaching_halted_fraction(1.0, 4), 3u);
+  std::vector<graph::NodeId> halted;
+  net.run(algorithm, 10, [&halted](const Network& network, std::uint32_t) {
+    halted.push_back(network.num_halted());
+  });
+  EXPECT_EQ(halted, (std::vector<graph::NodeId>{0, 0, 4}));
 }
 
 TEST(Trace, RecordsPerRoundMessagesAndPayload) {
   // On cycle(4) every node broadcasts each round, so rounds 1..3 each
-  // deliver exactly 8 messages. The trace must carry the per-round
+  // deliver exactly 8 messages. last_round() must carry the per-round
   // message and payload deltas (not cumulative totals), and all fault
   // counters must stay zero on a fault-free run.
   const graph::Graph g = graph::gen::cycle(4);
   Network net(g, 1);
   FloodAlgorithm algorithm(4, 3);
-  Trace trace;
-  const RunStats stats = net.run(algorithm, 10, trace.observer());
-  ASSERT_EQ(trace.records().size(), 3u);
+  std::vector<RoundDelta> deltas;
+  const RunStats stats = net.run(
+      algorithm, 10, [&deltas](const Network& network, std::uint32_t round) {
+        EXPECT_EQ(network.last_round().round, round);
+        deltas.push_back(network.last_round());
+      });
+  ASSERT_EQ(deltas.size(), 3u);
   std::uint64_t traced_messages = 0;
-  for (const Trace::RoundRecord& r : trace.records()) {
+  for (const RoundDelta& r : deltas) {
     EXPECT_EQ(r.messages, 8u) << "round " << r.round;
     // Actual widths, not the nominal kBitsPerMessage: round r consumes
     // the payload broadcast in round r - 1 (0, 1, 2), so each message is
