@@ -1,17 +1,18 @@
 // Example: what the CONGEST simulator actually does, round by round.
-// Runs Métivier's algorithm on a small tree with a per-round trace and a
-// verbose observer, then prints the final states — useful as a first look
+// Runs Métivier's algorithm on a small tree with a verbose round observer
+// that also records per-round progress from Network::last_round(), then
+// prints that progress and the final states — useful as a first look
 // at the simulator API and for debugging new algorithms.
 //
 //   ./congest_trace [n] [seed]
 #include <cstdlib>
 #include <iostream>
+#include <sstream>
 
 #include "graph/generators.h"
 #include "mis/metivier.h"
 #include "mis/verifier.h"
 #include "sim/network.h"
-#include "sim/trace.h"
 
 int main(int argc, char** argv) {
   using namespace arbmis;
@@ -28,15 +29,18 @@ int main(int argc, char** argv) {
 
   mis::MetivierMis algorithm(g);
   sim::Network net(g, seed);
-  sim::Trace trace;
 
-  // Observer that narrates node decisions as they happen.
+  // Observer that narrates node decisions as they happen and records the
+  // round's halted count and message volume for the summary below.
   std::vector<mis::MisState> last(n, mis::MisState::kUndecided);
-  auto trace_observer = trace.observer();
+  std::ostringstream progress;
   const sim::RunStats stats = net.run(
       algorithm, 1 << 16,
       [&](const sim::Network& network, std::uint32_t round) {
-        trace_observer(network, round);
+        const sim::RoundDelta& delta = network.last_round();
+        progress << "round " << round << ": halted=" << network.num_halted()
+                 << " messages=" << delta.messages
+                 << " bits=" << delta.payload_bits << '\n';
         for (graph::NodeId v = 0; v < n; ++v) {
           const mis::MisState now = algorithm.states()[v];
           if (now != last[v]) {
@@ -49,8 +53,7 @@ int main(int argc, char** argv) {
         }
       });
 
-  std::cout << "\nhalt progress per round:\n";
-  trace.print(std::cout);
+  std::cout << "\nhalt progress per round:\n" << progress.str();
 
   mis::MisResult result;
   result.state = algorithm.states();

@@ -11,9 +11,8 @@
 namespace arbmis::engine {
 
 namespace {
-constexpr std::array<EngineKind, 3> kAllEngines{
-    EngineKind::kTestAndSet, EngineKind::kPrefixGreedy,
-    EngineKind::kSequentialGreedy};
+constexpr std::array<EngineKind, 2> kAllEngines{
+    EngineKind::kTestAndSet, EngineKind::kSequentialGreedy};
 
 /// Domain-separation constant so engine priorities are not the same stream
 /// as any other mix64(seed, v) user (e.g. fault plan coins).
@@ -26,8 +25,6 @@ std::string_view engine_name(EngineKind kind) noexcept {
   switch (kind) {
     case EngineKind::kTestAndSet:
       return "tas";
-    case EngineKind::kPrefixGreedy:
-      return "prefix";
     case EngineKind::kSequentialGreedy:
       return "greedy";
   }
@@ -76,8 +73,6 @@ EngineResult solve(graph::GraphView g, EngineKind kind,
   switch (kind) {
     case EngineKind::kTestAndSet:
       return internal::solve_tas(g, options, priority);
-    case EngineKind::kPrefixGreedy:
-      return internal::solve_prefix(g, options, priority);
     case EngineKind::kSequentialGreedy:
       return internal::solve_greedy(g, priority);
   }

@@ -3,7 +3,7 @@
 // The CONGEST simulator (sim/network.h) charges every algorithm per-message
 // overhead that real shared-memory hardware does not pay; this module is
 // the raw-speed ceiling it is measured against (DESIGN.md §8, EXPERIMENTS
-// §E1). Three engines sit behind one `solve(GraphView, kind, options)`
+// §E1). Two engines sit behind one `solve(GraphView, kind, options)`
 // surface:
 //
 //   kTestAndSet       round-synchronous local-minima engine: every alive
@@ -11,11 +11,6 @@
 //                     neighbors joins, then test-and-sets its neighbors out
 //                     of the alive set with relaxed atomics. Dense remnants
 //                     switch to bitset adjacency (word-parallel removal).
-//   kPrefixGreedy     Blelloch-style rootset-prefix parallel randomized
-//                     greedy (the algorithm Fischer–Noever prove runs in
-//                     O(log n) dependency depth): nodes sorted by priority,
-//                     processed in prefixes; within a prefix a node joins
-//                     once every earlier-priority neighbor is decided.
 //   kSequentialGreedy the reference oracle: plain sequential greedy over
 //                     the priority order.
 //
@@ -23,7 +18,7 @@
 // one batched counter-based draw per node through util::mix64, no stateful
 // generator — and every parallel phase reads only a snapshot written before
 // the phase barrier, so the result is byte-identical for every thread
-// count. Stronger still, all three engines compute the *same set*: the
+// count. Stronger still, both engines compute the *same set*: the
 // lexicographically-first MIS with respect to the (priority, id) order,
 // i.e. exactly what sequential greedy over that order produces. The
 // EngineEquivalence matrix in tests/test_engine.cpp enforces both claims,
@@ -42,20 +37,19 @@ namespace arbmis::engine {
 
 enum class EngineKind : std::uint8_t {
   kTestAndSet = 0,
-  kPrefixGreedy = 1,
-  kSequentialGreedy = 2,
+  kSequentialGreedy = 1,
 };
 
 /// All engines, in declaration order (for test matrices and benches).
 std::span<const EngineKind> all_engines() noexcept;
 
-/// Stable lowercase name ("tas", "prefix", "greedy").
+/// Stable lowercase name ("tas", "greedy").
 std::string_view engine_name(EngineKind kind) noexcept;
 
 struct EngineOptions {
   std::uint64_t seed = 12345;
 
-  /// Worker threads for the parallel engines; 0 and 1 both run serially
+  /// Worker threads for kTestAndSet; 0 and 1 both run serially
   /// (0 mirrors sim::NetworkOptions::num_threads' convention). The result
   /// is byte-identical across all values by construction.
   std::uint32_t num_threads = 0;
@@ -65,14 +59,11 @@ struct EngineOptions {
   /// engine-vs-simulator differential row in tests/test_engine.cpp.
   bool id_priorities = false;
 
-  /// kPrefixGreedy: nodes per rootset prefix; 0 = max(1024, n/16).
-  std::uint32_t prefix_size = 0;
-
   /// kTestAndSet: compact the alive remnant into bitset adjacency once it
   /// is small enough for the bit matrix to stay cache-resident (auto mode
   /// switches at min(4096, max(64, n/8)) alive nodes). 0 disables the
   /// dense phase; 1 forces it from round one (tests pin equivalence of
-  /// all three).
+  /// all three settings).
   std::uint32_t dense_phase = 2;  ///< 0 = off, 1 = forced, 2 = auto
 };
 
@@ -80,8 +71,7 @@ struct EngineResult {
   /// Byte mask, 1 = member (uint8_t so it can feed mis::verify_mask).
   std::vector<std::uint8_t> in_mis;
 
-  /// Fixpoint iterations (kTestAndSet), inner rootset iterations summed
-  /// over prefixes (kPrefixGreedy), or 1 (kSequentialGreedy).
+  /// Fixpoint iterations (kTestAndSet) or 1 (kSequentialGreedy).
   std::uint64_t rounds = 0;
 
   std::uint64_t mis_size() const noexcept {
@@ -110,7 +100,7 @@ std::vector<graph::NodeId> priority_order(
 
 /// Runs one engine. Thread-count-invariant and a pure function of
 /// (graph, kind, options.seed, options.id_priorities); the tuning knobs
-/// (num_threads, prefix_size, dense_phase) must not change the set.
+/// (num_threads, dense_phase) must not change the set.
 EngineResult solve(graph::GraphView g, EngineKind kind,
                    const EngineOptions& options = {});
 

@@ -1,8 +1,8 @@
-// Engine (c): sequential greedy reference oracle.
+// Engine (b): sequential greedy reference oracle.
 //
 // One pass over the nodes in (priority, id) order; a node joins unless a
 // neighbor already did. This is the definition of the lexicographically-
-// first MIS the parallel engines must reproduce, and — handed the same
+// first MIS the parallel engine must reproduce, and — handed the same
 // order — it matches mis::greedy_mis(g, order) decision for decision (the
 // engine-vs-simulator differential row in tests/test_engine.cpp).
 #include <cstdint>

@@ -122,6 +122,14 @@ class GraphView {
 
   NodeId max_degree() const noexcept { return max_degree_; }
 
+  /// The CSR offsets: n+1 entries, node v's neighbors occupying
+  /// [offsets()[v], offsets()[v+1]) of the adjacency. Empty for a
+  /// default-constructed view, which has no storage behind it.
+  std::span<const std::uint64_t> offsets() const noexcept {
+    if (offsets_ == nullptr) return {};
+    return {offsets_, static_cast<std::size_t>(num_nodes_) + 1};
+  }
+
   /// True if {u, v} is an edge (binary search; O(log deg)).
   bool has_edge(NodeId u, NodeId v) const noexcept;
 

@@ -15,40 +15,17 @@ namespace {
 
 std::atomic<FlightRecorder*> g_recorder{nullptr};
 
-/// Worst-case encoded record: tag + kind + two small varints + eight
-/// 64-bit varints + text-length varint + truncated text.
-constexpr std::size_t kEncodeBufBytes =
-    2 + 5 + 1 + kMaxEventValues * 10 + 5 + kMaxRecorderText;
+/// Worst-case encoded record: the event head plus truncated text.
+constexpr std::size_t kEncodeBufBytes = kMaxRecordHeadBytes + kMaxRecorderText;
 
-std::size_t put_varint(unsigned char* out, std::uint64_t v) noexcept {
-  std::size_t n = 0;
-  while (v >= 0x80) {
-    out[n++] = static_cast<unsigned char>(v) | 0x80u;
-    v >>= 7;
-  }
-  out[n++] = static_cast<unsigned char>(v);
-  return n;
-}
-
-/// Encodes one ARBMISEV 0x01 event record (the BinaryWriter layout) into
-/// `out`, which must hold kEncodeBufBytes. Allocation-free so both the
-/// record path and the signal-handler trailer can use it.
+/// Encodes one event record with its text truncated to kMaxRecorderText
+/// into `out`, which must hold kEncodeBufBytes. Allocation-free so both
+/// the record path and the signal-handler trailer can use it.
 std::size_t encode_record(const Event& e, unsigned char* out) noexcept {
-  std::size_t n = 0;
-  out[n++] = 0x01;
-  out[n++] = static_cast<unsigned char>(e.kind);
-  n += put_varint(out + n, e.round);
-  n += put_varint(out + n, e.num_values);
-  for (std::uint32_t i = 0; i < e.num_values; ++i) {
-    n += put_varint(out + n, e.values[i]);
-  }
   const std::size_t text_len = std::min(e.text.size(), kMaxRecorderText);
-  n += put_varint(out + n, text_len);
-  if (text_len != 0) {
-    std::memcpy(out + n, e.text.data(), text_len);
-    n += text_len;
-  }
-  return n;
+  const std::size_t n = encode_event_head(e, text_len, out);
+  if (text_len != 0) std::memcpy(out + n, e.text.data(), text_len);
+  return n + text_len;
 }
 
 /// Async-signal-safe full write; ignores errors beyond giving up (the
@@ -80,12 +57,11 @@ bool FlightRecorder::accepts(EventKind kind) const noexcept {
 }
 
 void FlightRecorder::attach_manifest(const Manifest& m) {
-  std::string header;
-  header.append("ARBMISEV", 8);
-  header += '\x01';
   const std::string json = to_json_line(m);
-  header += '\x00';
-  append_varint(header, json.size());
+  unsigned char head[kMaxRecordHeadBytes];
+  const std::size_t n = encode_manifest_head(json.size(), head);
+  std::string header(kBinaryMagic);
+  header.append(reinterpret_cast<const char*>(head), n);
   header += json;
   const std::lock_guard<std::mutex> lock(mu_);
   header_bytes_ = std::move(header);
@@ -93,10 +69,7 @@ void FlightRecorder::attach_manifest(const Manifest& m) {
 
 void FlightRecorder::evict_for(std::size_t needed) {
   while (buf_.size() - size_ < needed && size_ > 0) {
-    std::uint32_t len = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      len |= static_cast<std::uint32_t>(at(i)) << (8 * i);
-    }
+    const std::uint32_t len = length_at(0);
     head_ = (head_ + 4 + len) % buf_.size();
     size_ -= 4 + len;
     --stats_.buffered_events;
@@ -108,8 +81,12 @@ void FlightRecorder::evict_for(std::size_t needed) {
 
 void FlightRecorder::record(const Event& e) {
   if (!accepts(e.kind)) return;
-  unsigned char rec[kEncodeBufBytes];
-  const std::size_t len = encode_record(e, rec);
+  // The ring entry: a little-endian 4-byte length prefix, then the record.
+  unsigned char entry[4 + kEncodeBufBytes];
+  const std::size_t len = encode_record(e, entry + 4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    entry[i] = static_cast<unsigned char>((len >> (8 * i)) & 0xFFu);
+  }
 
   const std::lock_guard<std::mutex> lock(mu_);
   ++stats_.recorded_events;
@@ -118,20 +95,12 @@ void FlightRecorder::record(const Event& e) {
     return;
   }
   evict_for(len + 4);
-  unsigned char prefix[4];
-  for (std::size_t i = 0; i < 4; ++i) {
-    prefix[i] = static_cast<unsigned char>((len >> (8 * i)) & 0xFFu);
+  std::size_t tail = (head_ + size_) % buf_.size();
+  for (std::size_t i = 0; i < len + 4; ++i) {
+    buf_[tail] = entry[i];
+    tail = (tail + 1) % buf_.size();
   }
-  const auto put = [&](const unsigned char* data, std::size_t n) {
-    std::size_t tail = (head_ + size_) % buf_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      buf_[tail] = data[i];
-      tail = (tail + 1) % buf_.size();
-    }
-    size_ += n;
-  };
-  put(prefix, 4);
-  put(rec, len);
+  size_ += len + 4;
   ++stats_.buffered_events;
   stats_.buffered_bytes += len;
 }
@@ -141,49 +110,39 @@ RecorderStats FlightRecorder::stats() const {
   return stats_;
 }
 
+void FlightRecorder::append_ring(std::string& out) const {
+  std::size_t pos = 0;
+  while (pos + 4 <= size_) {
+    const std::uint32_t len = length_at(pos);
+    if (pos + 4 + len > size_) break;
+    for (std::size_t i = 0; i < len; ++i) {
+      out += static_cast<char>(at(pos + 4 + i));
+    }
+    pos += 4 + len;
+  }
+}
+
 std::string FlightRecorder::ring_bytes() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   out.reserve(stats_.buffered_bytes);
-  std::size_t pos = 0;
-  while (pos + 4 <= size_) {
-    std::uint32_t len = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      len |= static_cast<std::uint32_t>(at(pos + i)) << (8 * i);
-    }
-    if (pos + 4 + len > size_) break;
-    for (std::size_t i = 0; i < len; ++i) out += static_cast<char>(
-        at(pos + 4 + i));
-    pos += 4 + len;
-  }
+  append_ring(out);
   return out;
 }
 
 std::string FlightRecorder::snapshot(std::string_view reason) const {
+  const std::lock_guard<std::mutex> lock(mu_);
   std::string out;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    out.reserve(header_bytes_.size() + size_ + 128);
-    out = header_bytes_;
-    std::size_t pos = 0;
-    while (pos + 4 <= size_) {
-      std::uint32_t len = 0;
-      for (std::size_t i = 0; i < 4; ++i) {
-        len |= static_cast<std::uint32_t>(at(pos + i)) << (8 * i);
-      }
-      if (pos + 4 + len > size_) break;
-      for (std::size_t i = 0; i < len; ++i) out += static_cast<char>(
-          at(pos + 4 + i));
-      pos += 4 + len;
-    }
-    const Event trailer = make_event(
-        EventKind::kRecorderDump, /*round=*/0, reason,
-        stats_.buffered_events, stats_.buffered_bytes,
-        stats_.evicted_events, stats_.evicted_bytes);
-    unsigned char rec[kEncodeBufBytes];
-    const std::size_t len = encode_record(trailer, rec);
-    out.append(reinterpret_cast<const char*>(rec), len);
-  }
+  out.reserve(header_bytes_.size() + size_ + 128);
+  out = header_bytes_;
+  append_ring(out);
+  const Event trailer = make_event(
+      EventKind::kRecorderDump, /*round=*/0, reason,
+      stats_.buffered_events, stats_.buffered_bytes,
+      stats_.evicted_events, stats_.evicted_bytes);
+  unsigned char rec[kEncodeBufBytes];
+  const std::size_t len = encode_record(trailer, rec);
+  out.append(reinterpret_cast<const char*>(rec), len);
   return out;
 }
 
@@ -217,10 +176,7 @@ void FlightRecorder::dump_to_fd(int fd, std::string_view reason)
   const std::size_t size = std::min(size_, cap);
   std::size_t pos = 0;
   while (pos + 4 <= size) {
-    std::uint32_t len = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      len |= static_cast<std::uint32_t>(at(pos + i)) << (8 * i);
-    }
+    const std::uint32_t len = length_at(pos);
     if (len > kEncodeBufBytes || pos + 4 + len > size) break;
     const std::size_t start = (head_ + pos + 4) % cap;
     const std::size_t seg1 = std::min<std::size_t>(len, cap - start);

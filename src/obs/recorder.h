@@ -6,9 +6,10 @@
 // so that when a run crashes, a CONGEST/read-k violation fires, or a
 // certification fails, the events leading up to the failure can be
 // dumped after the fact. Events are stored pre-encoded in the ARBMISEV
-// binary record layout (obs/sink.h), bounded by BYTES rather than event
-// count, evicting oldest-first; a dump is therefore a standard binary
-// event artifact (magic, manifest record, event records, plus a trailing
+// binary record layout by the encoder BinaryWriter also calls
+// (obs/sink.h), bounded by BYTES rather than event count,
+// evicting oldest-first; a dump is therefore a standard binary event
+// artifact (magic, manifest record, event records, plus a trailing
 // kRecorderDump event describing the ring state) that
 // tools/trace_inspect.py validates, summarizes, and diffs like any other
 // event file.
@@ -115,6 +116,16 @@ class FlightRecorder {
   unsigned char at(std::size_t logical) const noexcept {
     return buf_[(head_ + logical) % buf_.size()];
   }
+  /// The little-endian 4-byte record length prefix at ring offset `pos`.
+  std::uint32_t length_at(std::size_t pos) const noexcept {
+    std::uint32_t len = 0;
+    for (std::size_t i = 0; i < 4; ++i) {
+      len |= static_cast<std::uint32_t>(at(pos + i)) << (8 * i);
+    }
+    return len;
+  }
+  /// Under mu_: appends every intact ring record, oldest-first.
+  void append_ring(std::string& out) const;
 
   RecorderConfig config_;
   mutable std::mutex mu_;

@@ -16,14 +16,35 @@ void log_hook(util::LogLevel level, std::string_view message) {
                   static_cast<std::uint64_t>(level)));
 }
 
-}  // namespace
-
-void append_varint(std::string& out, std::uint64_t v) {
+std::size_t put_varint(unsigned char* out, std::uint64_t v) noexcept {
+  std::size_t n = 0;
   while (v >= 0x80) {
-    out += static_cast<char>(static_cast<unsigned char>(v) | 0x80u);
+    out[n++] = static_cast<unsigned char>(v) | 0x80u;
     v >>= 7;
   }
-  out += static_cast<char>(v);
+  out[n++] = static_cast<unsigned char>(v);
+  return n;
+}
+
+}  // namespace
+
+std::size_t encode_event_head(const Event& e, std::size_t text_len,
+                              unsigned char* out) noexcept {
+  std::size_t n = 0;
+  out[n++] = 0x01;
+  out[n++] = static_cast<unsigned char>(e.kind);
+  n += put_varint(out + n, e.round);
+  n += put_varint(out + n, e.num_values);
+  for (std::uint32_t i = 0; i < e.num_values; ++i) {
+    n += put_varint(out + n, e.values[i]);
+  }
+  return n + put_varint(out + n, text_len);
+}
+
+std::size_t encode_manifest_head(std::size_t json_len,
+                                 unsigned char* out) noexcept {
+  out[0] = 0x00;
+  return 1 + put_varint(out + 1, json_len);
 }
 
 bool SinkConfig::accepts_category(EventCategory category) const noexcept {
@@ -83,8 +104,8 @@ void JsonlWriter::write_manifest(const Manifest& m) {
 BinaryWriter::BinaryWriter(std::string path, SinkConfig config)
     : EventSink(config), path_(std::move(path)),
       out_(path_, std::ios::binary) {
-  out_.write("ARBMISEV", 8);
-  out_.put('\x01');
+  out_.write(kBinaryMagic.data(),
+             static_cast<std::streamsize>(kBinaryMagic.size()));
 }
 
 BinaryWriter::~BinaryWriter() = default;
@@ -95,26 +116,20 @@ void BinaryWriter::flush() {
 }
 
 void BinaryWriter::write(const Event& e) {
-  std::string rec;
-  rec += '\x01';
-  rec += static_cast<char>(e.kind);
-  append_varint(rec, e.round);
-  append_varint(rec, e.num_values);
-  for (std::uint32_t i = 0; i < e.num_values; ++i) {
-    append_varint(rec, e.values[i]);
-  }
-  append_varint(rec, e.text.size());
-  rec.append(e.text);
-  out_.write(rec.data(), static_cast<std::streamsize>(rec.size()));
+  unsigned char head[kMaxRecordHeadBytes];
+  const std::size_t n = encode_event_head(e, e.text.size(), head);
+  out_.write(reinterpret_cast<const char*>(head),
+             static_cast<std::streamsize>(n));
+  out_.write(e.text.data(), static_cast<std::streamsize>(e.text.size()));
 }
 
 void BinaryWriter::write_manifest(const Manifest& m) {
   const std::string json = to_json_line(m);
-  std::string rec;
-  rec += '\x00';
-  append_varint(rec, json.size());
-  rec += json;
-  out_.write(rec.data(), static_cast<std::streamsize>(rec.size()));
+  unsigned char head[kMaxRecordHeadBytes];
+  const std::size_t n = encode_manifest_head(json.size(), head);
+  out_.write(reinterpret_cast<const char*>(head),
+             static_cast<std::streamsize>(n));
+  out_.write(json.data(), static_cast<std::streamsize>(json.size()));
 }
 
 std::vector<OwnedEvent> VectorSink::events() const {

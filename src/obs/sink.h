@@ -17,11 +17,13 @@
 // self-describing.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/events.h"
@@ -45,10 +47,25 @@ struct SinkConfig {
 /// to round sampling.
 bool is_per_round(EventKind kind) noexcept;
 
-/// Appends one unsigned LEB128 varint — the integer encoding of the
-/// ARBMISEV binary format, shared by BinaryWriter and the flight
-/// recorder's header rendering (obs/recorder.h).
-void append_varint(std::string& out, std::uint64_t v);
+/// The ARBMISEV v1 binary layout, encoded only here: BinaryWriter and the
+/// flight recorder (obs/recorder.h) both call these functions.
+///   artifact := kBinaryMagic, then records
+///   manifest := 0x00, varint length, manifest JSON
+///   event    := 0x01, kind byte, varint round, varint num_values,
+///               num_values varints, varint text length, text
+/// Varints are unsigned LEB128. The encoders write into the caller's
+/// buffer, never allocate, and stop before the text or JSON, which the
+/// caller appends: the recorder truncates text, the file writer does not.
+inline constexpr std::string_view kBinaryMagic{"ARBMISEV\x01", 9};
+/// Worst-case size of any record before its text or JSON.
+inline constexpr std::size_t kMaxRecordHeadBytes =
+    2 + (kMaxEventValues + 3) * 10;
+/// Writes event record `e` through the length of its `text_len`-byte text.
+std::size_t encode_event_head(const Event& e, std::size_t text_len,
+                              unsigned char* out) noexcept;
+/// Writes a manifest record through the length of its JSON.
+std::size_t encode_manifest_head(std::size_t json_len,
+                                 unsigned char* out) noexcept;
 
 /// Base sink: thread-safe filtered emission. Derived classes implement
 /// write()/write_manifest(), which are always called under the sink lock.
@@ -107,12 +124,9 @@ class JsonlWriter : public EventSink {
   std::ofstream out_;
 };
 
-/// Compact binary stream (see docs/OBSERVABILITY.md for the layout):
-///   magic "ARBMISEV", version byte 0x01, then records:
-///     0x00  manifest: varint length + manifest JSON bytes
-///     0x01  event: kind byte, varint round, varint num_values,
-///           num_values varints, varint text length, text bytes
-/// All varints are unsigned LEB128.
+/// Compact binary stream in the ARBMISEV v1 layout above: the magic, then
+/// one manifest record per attach_manifest() and one event record per
+/// event, text unbounded. Allocation-free per event.
 class BinaryWriter : public EventSink {
  public:
   explicit BinaryWriter(std::string path, SinkConfig config = {});

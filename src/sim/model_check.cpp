@@ -54,7 +54,7 @@ std::string ModelCheckReport::summary() const {
 
 ModelChecker::ModelChecker(graph::GraphView g, ModelCheckOptions options,
                            std::uint32_t allowed_messages_per_edge)
-    : options_(options) {
+    : options_(options), num_nodes_(g.num_nodes()) {
   if (!options_.enabled) return;
   const std::uint32_t per_message =
       std::max(options_.min_edge_bits,
@@ -62,13 +62,13 @@ ModelChecker::ModelChecker(graph::GraphView g, ModelCheckOptions options,
                    ceil_log2(static_cast<std::uint64_t>(g.num_nodes()) + 1));
   edge_bit_budget_ =
       per_message * std::max<std::uint32_t>(allowed_messages_per_edge, 1);
-  nodes_.resize(g.num_nodes());
+  nodes_.reserve(num_nodes_);
   report_.edge_bit_budget = edge_bit_budget_;
 }
 
 void ModelChecker::begin_run() {
   if (!options_.enabled) return;
-  std::fill(nodes_.begin(), nodes_.end(), NodeLedger{});
+  nodes_.assign(num_nodes_, NodeLedger{});
   active_node_ = kNoNode;
   report_ = ModelCheckReport{};
   report_.edge_bit_budget = edge_bit_budget_;

@@ -244,7 +244,9 @@ class ModelChecker {
 
   ModelCheckOptions options_;
   std::uint32_t edge_bit_budget_ = 0;  ///< budget for all allowed messages
+  graph::NodeId num_nodes_ = 0;
   graph::NodeId active_node_ = kNoNode;
+  /// Reserved at construction, filled by begin_run().
   std::vector<NodeLedger> nodes_;
 
   ModelCheckReport report_;

@@ -67,6 +67,7 @@ Network::Network(graph::GraphView g, std::uint64_t seed,
       use_arena_((options.inbox == InboxImpl::kProcessDefault
                       ? default_inbox_impl()
                       : options.inbox) != InboxImpl::kReferenceVectors),
+      edge_offset_(g.offsets()),
       checker_(g, options.model_check,
                options.max_messages_per_edge_per_round) {
   const graph::NodeId n = g.num_nodes();
@@ -74,19 +75,16 @@ Network::Network(graph::GraphView g, std::uint64_t seed,
   const util::Rng base(seed);
   for (graph::NodeId v = 0; v < n; ++v) rngs_.push_back(base.child(v));
   halted_.assign(n, 0);
-  edge_offset_.resize(n + 1, 0);
-  for (graph::NodeId v = 0; v < n; ++v) {
-    edge_offset_[v + 1] = edge_offset_[v] + g.degree(v);
-  }
-  edge_load_.resize(edge_offset_[n]);
+  const std::uint64_t slots = arena_slots();
+  edge_load_.reserve(slots);
   if (use_arena_) {
     // All storage a run can touch on the fault-free path, sized once: one
     // Message slot and one flag per directed edge, double-buffered, plus
     // fill counts.
-    arena_cur_.resize(edge_offset_[n]);
-    arena_next_.resize(edge_offset_[n]);
-    bearing_cur_.resize(edge_offset_[n]);
-    bearing_next_.resize(edge_offset_[n]);
+    arena_cur_.resize(slots);
+    arena_next_.resize(slots);
+    bearing_cur_.resize(slots);
+    bearing_next_.resize(slots);
     inbox_count_cur_.assign(n, 0);
     inbox_count_next_.assign(n, 0);
   } else {
@@ -370,7 +368,7 @@ RunStats Network::run(Algorithm& algorithm, std::uint32_t max_rounds,
   }
   in_flight_next_ = 0;
   rng_draws_ = 0;
-  std::fill(edge_load_.begin(), edge_load_.end(), EdgeLoad{});
+  edge_load_.assign(arena_slots(), EdgeLoad{});
   last_round_ = RoundDelta{};
   round_fault_drops_ = 0;
   round_fault_duplicates_ = 0;

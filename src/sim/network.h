@@ -240,10 +240,10 @@ struct ExecLane {
 };
 
 /// Per-round accounting snapshot, refreshed at every round barrier and
-/// readable by RoundObservers (sim/trace.h records it). `messages` counts
-/// the messages consumed by callbacks this round; fault counters cover
-/// faults resolved or injected this round (drops/duplicates are charged to
-/// the round the message was *sent* in).
+/// readable by RoundObservers (examples/congest_trace prints it).
+/// `messages` counts the messages consumed by callbacks this round; fault
+/// counters cover faults resolved or injected this round (drops/duplicates
+/// are charged to the round the message was *sent* in).
 struct RoundDelta {
   std::uint32_t round = 0;
   std::uint64_t messages = 0;
@@ -276,7 +276,7 @@ class Network {
   bool uses_arena() const noexcept { return use_arena_; }
   /// Total Message slots in the arena = number of directed edges (one slot
   /// per (node, port) pair, CSR order). Valid in both inbox modes.
-  std::uint64_t arena_slots() const noexcept { return edge_offset_.back(); }
+  std::uint64_t arena_slots() const noexcept { return 2 * graph_.num_edges(); }
   /// Logical RNG draws made so far in the current run, summed over nodes.
   /// Deterministic in (graph, seed, algorithm) and executor-independent.
   std::uint64_t total_rng_draws() const noexcept { return rng_draws_; }
@@ -398,13 +398,14 @@ class Network {
   // Per-directed-edge load of the current round, one record per slot
   // ((v, port) = edge_offset_[v] + port), epoch-stamped by round to avoid
   // a clear per round: the message count the CONGEST cap checks and the
-  // bit count the ModelChecker budgets.
+  // bit count the ModelChecker budgets. Reserved at construction, filled
+  // by run().
   struct EdgeLoad {
     std::uint32_t epoch = ~std::uint32_t{0};
     std::uint32_t messages = 0;
     std::uint32_t bits = 0;
   };
-  std::vector<std::uint64_t> edge_offset_;
+  std::span<const std::uint64_t> edge_offset_;  ///< the graph's CSR offsets
   std::vector<EdgeLoad> edge_load_;
 
   // Parallel executor state (empty in serial mode).

@@ -109,7 +109,7 @@ TEST(Determinism, GoldenPerSeedMisOutputs) {
 
 TEST(Determinism, GoldenPerSeedEngineLabels) {
   // Golden labels-hash pins for the shared-memory engine family
-  // (src/engine/). One constant per seed, asserted for all THREE engines:
+  // (src/engine/). One constant per seed, asserted for both engines:
   // the family's contract is that they compute the same set — the
   // lexicographically-first MIS w.r.t. (priority, id) — so distinct pins
   // per engine would be a bug, not extra coverage. Any drift in
@@ -130,14 +130,11 @@ TEST(Determinism, GoldenPerSeedEngineLabels) {
         << "seed=2 engine=" << engine::engine_name(kind);
   }
 
-  // Round counts are part of the pinned surface for the fixpoint engines.
+  // Round counts are part of the pinned surface for the fixpoint engine.
   engine::EngineOptions options;
   options.seed = 1;
   EXPECT_EQ(
       engine::solve(g, engine::EngineKind::kTestAndSet, options).rounds, 3u);
-  EXPECT_EQ(
-      engine::solve(g, engine::EngineKind::kPrefixGreedy, options).rounds,
-      3u);
 }
 
 TEST(Determinism, GoldenPinsHoldUnderTheParallelExecutor) {

@@ -8,7 +8,7 @@
 // tie the family to the CONGEST side: with id priorities every engine
 // reproduces mis::greedy_mis(g) exactly, and the sequential-greedy engine
 // matches mis::greedy_mis over the explicit priority order label for
-// label. Tuning knobs (dense_phase, prefix_size) must never move a byte.
+// label. Tuning knobs (dense_phase) must never move a byte.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -173,8 +173,8 @@ TEST(EngineEquivalence, PrioritiesArePureAndSeedSeparated) {
   EXPECT_EQ(same, 0u);
 }
 
-// Tuning knobs must not move a byte: dense phase off / forced / auto and
-// degenerate prefix windows all land on the canonical set.
+// Tuning knobs must not move a byte: dense phase off / forced / auto all
+// land on the canonical set.
 TEST(EngineEquivalence, TuningKnobsDoNotChangeTheSet) {
   util::Rng rng(5);
   const graph::Graph g = graph::gen::hubbed_forest_union(400, 2, 4, rng);
@@ -192,19 +192,6 @@ TEST(EngineEquivalence, TuningKnobsDoNotChangeTheSet) {
             .labels_hash(),
         canonical)
         << "dense_phase=" << dense;
-  }
-  const std::uint64_t prefix_canonical =
-      engine::solve(g, engine::EngineKind::kPrefixGreedy, base).labels_hash();
-  EXPECT_EQ(prefix_canonical, canonical);
-  for (const std::uint32_t prefix : {1u, 2u, 64u, 400u, 100000u}) {
-    engine::EngineOptions options = base;
-    options.prefix_size = prefix;
-    options.num_threads = 2;
-    EXPECT_EQ(
-        engine::solve(g, engine::EngineKind::kPrefixGreedy, options)
-            .labels_hash(),
-        prefix_canonical)
-        << "prefix_size=" << prefix;
   }
 }
 
@@ -234,9 +221,9 @@ TEST(EngineEquivalence, EdgeCaseGraphs) {
   }
 }
 
-// Round counts: sequential greedy is one pass by definition; the parallel
-// engines' fixpoint loops must report at least one round on any non-empty
-// graph and must be thread-invariant like the labels.
+// Round counts: sequential greedy is one pass by definition; the TAS
+// fixpoint loop must report at least one round on any non-empty graph and
+// must be thread-invariant like the labels.
 TEST(EngineEquivalence, RoundAccounting) {
   util::Rng rng(3);
   const graph::Graph g = graph::gen::union_of_random_forests(400, 2, rng);
@@ -244,15 +231,13 @@ TEST(EngineEquivalence, RoundAccounting) {
   EXPECT_EQ(engine::solve(g, engine::EngineKind::kSequentialGreedy, serial)
                 .rounds,
             1u);
-  for (const engine::EngineKind kind :
-       {engine::EngineKind::kTestAndSet, engine::EngineKind::kPrefixGreedy}) {
-    const std::uint64_t serial_rounds = engine::solve(g, kind, serial).rounds;
-    EXPECT_GE(serial_rounds, 1u);
-    engine::EngineOptions parallel;
-    parallel.num_threads = 4;
-    EXPECT_EQ(engine::solve(g, kind, parallel).rounds, serial_rounds)
-        << engine::engine_name(kind);
-  }
+  const std::uint64_t serial_rounds =
+      engine::solve(g, engine::EngineKind::kTestAndSet, serial).rounds;
+  EXPECT_GE(serial_rounds, 1u);
+  engine::EngineOptions parallel;
+  parallel.num_threads = 4;
+  EXPECT_EQ(engine::solve(g, engine::EngineKind::kTestAndSet, parallel).rounds,
+            serial_rounds);
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 #include "mis/luby.h"
 #include "mis/verifier.h"
 #include "sim/network.h"
-#include "sim/trace.h"
 
 namespace arbmis {
 namespace {

@@ -160,6 +160,25 @@ TEST(MessageArena, IsolatedNodesGetEmptyRegions) {
   EXPECT_TRUE(algo.inbox(4).empty());
   EXPECT_EQ(algo.inbox(1),
             (std::vector<Recorded>{{0, 0, 0}, {2, 0, 2}}));
+
+  // No nodes at all: a default view has no offsets array behind it, and
+  // an empty Graph has a one-entry one. Both give an empty arena and a run
+  // that ends before round 1, under either inbox implementation.
+  const graph::Graph no_nodes(0);
+  for (const graph::GraphView view :
+       {graph::GraphView{}, graph::GraphView{no_nodes}}) {
+    for (const sim::InboxImpl impl :
+         {sim::InboxImpl::kArena, sim::InboxImpl::kReferenceVectors}) {
+      sim::NetworkOptions options;
+      options.inbox = impl;
+      sim::Network empty(view, 2, options);
+      EXPECT_EQ(empty.arena_slots(), 0u);
+      RecordingBroadcast none(0, 1);
+      const sim::RunStats empty_stats = empty.run(none, 4);
+      EXPECT_TRUE(empty_stats.all_halted);
+      EXPECT_EQ(empty_stats.rounds, 0u);
+    }
+  }
 }
 
 TEST(MessageArena, SelfLoopsAreRejectedAtGraphConstruction) {

@@ -7,7 +7,6 @@
 
 #include "graph/generators.h"
 #include "sim/network.h"
-#include "sim/trace.h"
 
 namespace arbmis::sim {
 namespace {
@@ -244,34 +243,6 @@ TEST(Trace, RecordsPerRoundMessagesAndPayload) {
   EXPECT_EQ(traced_messages, stats.messages);
   // The run-wide total keeps the nominal full-word charge.
   EXPECT_EQ(stats.payload_bits, stats.messages * kBitsPerMessage);
-}
-
-TEST(Trace, HaltedFractionBoundaries) {
-  // Pin the documented edge cases of round_reaching_halted_fraction.
-  const Trace empty;
-  // An empty target is met before any round — even with no records.
-  EXPECT_EQ(empty.round_reaching_halted_fraction(0.0, 4), 0u);
-  EXPECT_EQ(empty.round_reaching_halted_fraction(-0.5, 4), 0u);
-  EXPECT_EQ(empty.round_reaching_halted_fraction(1.0, 0), 0u);
-  // A positive target can never be met with no records.
-  EXPECT_EQ(empty.round_reaching_halted_fraction(0.5, 4),
-            Trace::kNeverReached);
-
-  // path(4) under FloodAlgorithm(4, 3): all 4 nodes halt in round 3.
-  const graph::Graph g = graph::gen::path(4);
-  Network net(g, 3);
-  FloodAlgorithm algorithm(4, 3);
-  Trace trace;
-  net.run(algorithm, 10, trace.observer());
-  ASSERT_EQ(trace.records().size(), 3u);
-  EXPECT_EQ(trace.records().back().halted, 4u);
-  EXPECT_EQ(trace.round_reaching_halted_fraction(0.0, 4), 0u);
-  EXPECT_EQ(trace.round_reaching_halted_fraction(1.0, 4), 3u);
-  // fraction > 1 asks for more nodes than exist.
-  EXPECT_EQ(trace.round_reaching_halted_fraction(1.5, 4),
-            Trace::kNeverReached);
-  // Nobody halts before round 3, so any positive fraction resolves there.
-  EXPECT_EQ(trace.round_reaching_halted_fraction(0.25, 4), 3u);
 }
 
 TEST(RunStats, AbsorbAddsRoundsAndMessages) {
