@@ -11,8 +11,13 @@
 #include <string>
 #include <vector>
 
+#include "core/bounded_arb.h"
+#include "core/params.h"
+#include "fault/adversary.h"
+#include "fault/fault_plan.h"
 #include "graph/generators.h"
 #include "mis/luby.h"
+#include "mis/metivier.h"
 #include "obs/events.h"
 #include "obs/manifest.h"
 #include "obs/profile.h"
@@ -730,6 +735,68 @@ TEST(ObsNetwork, FeedsAttachedRegistry) {
   EXPECT_GT(reg.counter("sim.payload_bits"), 0u);
   EXPECT_LE(reg.counter("sim.payload_bits"), stats.payload_bits);
   EXPECT_NE(reg.to_json().find("\"sim.message_bits\""), std::string::npos);
+}
+
+TEST(ObsNetwork, RegistryDocumentIdenticalAcrossExecutors) {
+  // The whole metrics document — counters, gauges, the sim.message_bits
+  // histogram and the per-round sampling — must not depend on the
+  // executor or the inbox implementation. The faulty run duplicates
+  // messages past the arena's per-edge capacity (the overflow inbox).
+  util::Rng forest_rng(3);
+  const graph::Graph forests =
+      graph::gen::union_of_random_forests(300, 2, forest_rng);
+  util::Rng gnp_rng(4);
+  const graph::Graph gnp = graph::gen::gnp(150, 0.05, gnp_rng);
+  const core::Params params = core::Params::practical(2, gnp.max_degree());
+
+  const auto document = [&](std::uint32_t threads, sim::InboxImpl inbox) {
+    obs::Registry reg;
+    const obs::ScopedRegistry attach(&reg);
+    sim::NetworkOptions options;
+    options.num_threads = threads;
+    options.inbox = inbox;
+    {
+      mis::MetivierMis algorithm(forests);
+      sim::Network net(forests, /*seed=*/21, options);
+      EXPECT_TRUE(net.run(algorithm, 1u << 12).all_halted);
+    }
+    {
+      core::BoundedArbIndependentSet algorithm(gnp, params);
+      sim::Network net(gnp, /*seed=*/22, options);
+      net.run(algorithm, params.total_rounds());
+    }
+    {
+      fault::IidAdversary adversary({.drop_rate = 0.1,
+                                     .duplicate_rate = 0.2,
+                                     .crash_rate = 0.0,
+                                     .recovery_delay = 0});
+      fault::FaultPlan plan(forests, /*seed=*/23, adversary);
+      sim::NetworkOptions faulty = options;
+      faulty.fault = &plan;
+      mis::LubyBMis algorithm(forests);
+      sim::Network net(forests, /*seed=*/23, faulty);
+      net.run(algorithm, 512);
+      EXPECT_GT(plan.totals().duplicates, 0u);
+    }
+    return reg.to_json();
+  };
+
+  const std::string serial = document(0, sim::InboxImpl::kArena);
+  EXPECT_NE(serial.find("\"sim.message_bits\""), std::string::npos);
+  for (const sim::InboxImpl inbox :
+       {sim::InboxImpl::kArena, sim::InboxImpl::kReferenceVectors}) {
+    for (const std::uint32_t threads : {0u, 1u, 2u, 4u, 8u}) {
+      EXPECT_EQ(serial, document(threads, inbox))
+          << "threads " << threads << " inbox "
+          << static_cast<int>(inbox);
+    }
+  }
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : serial) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  EXPECT_EQ(hash, 0xecca9ce7e72d7d34ULL) << std::hex << hash;
 }
 
 }  // namespace
