@@ -1,5 +1,6 @@
 #include "obs/registry.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 
@@ -57,14 +58,27 @@ void Registry::set(std::string_view name, std::int64_t value) {
   it->second = value;
 }
 
-void Registry::observe(std::string_view name, std::uint64_t value) {
-  const std::lock_guard<std::mutex> lock(mu_);
+util::Log2Histogram& Registry::log2_histogram(std::string_view name) {
   auto it = log2_histograms_.find(name);
   if (it == log2_histograms_.end()) {
     it = log2_histograms_.emplace(std::string(name), util::Log2Histogram{})
              .first;
   }
-  it->second.add(value);
+  return it->second;
+}
+
+void Registry::observe(std::string_view name, std::uint64_t value) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  log2_histogram(name).add(value);
+}
+
+void Registry::observe_counts(std::string_view name,
+                              std::span<const std::uint64_t> counts) {
+  const auto nonzero = [](std::uint64_t c) { return c != 0; };
+  if (std::none_of(counts.begin(), counts.end(), nonzero)) return;
+  const std::lock_guard<std::mutex> lock(mu_);
+  util::Log2Histogram& h = log2_histogram(name);
+  for (std::size_t v = 0; v < counts.size(); ++v) h.add(v, counts[v]);
 }
 
 void Registry::observe_linear(std::string_view name, double lo, double hi,

@@ -14,15 +14,18 @@
 // second instrumentation pass.
 //
 // Attachment mirrors the sink: a process-wide pointer installed by
-// ScopedRegistry, nullptr when detached. Updates are mutex-guarded —
-// instrumentation calls happen at serial points (round barriers, driver
-// code), so the lock is uncontended; it exists so stray worker-thread
-// updates (e.g. from log hooks) stay safe.
+// ScopedRegistry, nullptr when detached. All updates are made at serial
+// points — round barriers, run ends, driver code and the serving path's
+// request epilogue; the simulator's per-message widths reach the registry
+// once per round through observe_counts() — so the lock is uncontended.
+// It is kept so that a reader on another thread (a scrape) sees a whole
+// document.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,6 +51,11 @@ class Registry {
   /// Power-of-two-bucket histogram (util::Log2Histogram) — the default
   /// for heavy-tailed integer quantities such as payload widths.
   void observe(std::string_view name, std::uint64_t value);
+  /// Bulk observe(): counts[v] observations of value v, under one lock
+  /// and one lookup. An all-zero `counts` creates no histogram, so the
+  /// document is the same as after the equivalent observe() calls.
+  void observe_counts(std::string_view name,
+                      std::span<const std::uint64_t> counts);
   /// Fixed-bucket linear histogram over [lo, hi); the bucket layout is
   /// fixed by the first call for a given name.
   void observe_linear(std::string_view name, double lo, double hi,
@@ -74,6 +82,9 @@ class Registry {
     std::uint64_t last = 0;
     std::vector<std::uint64_t> deltas;
   };
+
+  /// The named log2 histogram, created empty on first use; mu_ held.
+  util::Log2Histogram& log2_histogram(std::string_view name);
 
   mutable std::mutex mu_;
   std::uint32_t round_sample_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <string_view>
 #include <utility>
 
 #include "fault/adversary.h"
@@ -25,18 +26,25 @@ std::uint64_t count_members(const std::vector<mis::MisState>& state) {
       std::count(state.begin(), state.end(), mis::MisState::kInMis));
 }
 
-const char* op_name(MsgType type) {
+/// The serve.req.<op> counter of a request type: a static string, so
+/// metering a request builds no name.
+const char* op_counter(MsgType type) {
   switch (type) {
-    case MsgType::kLoadGraph: return "load_graph";
-    case MsgType::kComputeMis: return "compute_mis";
-    case MsgType::kQuery: return "query";
-    case MsgType::kUpdateEdges: return "update_edges";
-    case MsgType::kVerify: return "verify";
-    case MsgType::kStats: return "stats";
-    case MsgType::kMetrics: return "metrics";
-    case MsgType::kDumpRecorder: return "dump_recorder";
-    default: return "unknown";
+    case MsgType::kLoadGraph: return "serve.req.load_graph";
+    case MsgType::kComputeMis: return "serve.req.compute_mis";
+    case MsgType::kQuery: return "serve.req.query";
+    case MsgType::kUpdateEdges: return "serve.req.update_edges";
+    case MsgType::kVerify: return "serve.req.verify";
+    case MsgType::kStats: return "serve.req.stats";
+    case MsgType::kMetrics: return "serve.req.metrics";
+    case MsgType::kDumpRecorder: return "serve.req.dump_recorder";
+    default: return "serve.req.unknown";
   }
+}
+
+/// The op's span and event name: its counter name without "serve.req.".
+const char* op_name(MsgType type) {
+  return op_counter(type) + std::string_view("serve.req.").size();
 }
 
 }  // namespace
@@ -516,7 +524,7 @@ Frame MisService::handle(const Frame& request) {
   // sanctioned deterministic metering point (tools/layering.toml).
   if (obs::Registry* const reg = obs::registry()) {
     reg->add("serve.requests");
-    reg->add(std::string("serve.req.") + op_name(request.type));
+    reg->add(op_counter(request.type));
     if (status != 0) reg->add("serve.errors");
     reg->set("serve.graphs", static_cast<std::int64_t>(graphs_.size()));
     reg->set("serve.cache.entries",

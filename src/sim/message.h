@@ -40,4 +40,9 @@ constexpr std::uint64_t message_bits(const Message& m) noexcept {
   return kTagBits + static_cast<std::uint64_t>(std::bit_width(m.payload));
 }
 
+// The widest message is exactly the nominal charge, so widths index an
+// array of kBitsPerMessage + 1 counts (sim::WidthCounts).
+static_assert(message_bits(Message{0, 0, ~std::uint64_t{0}}) ==
+              kBitsPerMessage);
+
 }  // namespace arbmis::sim

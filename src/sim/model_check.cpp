@@ -70,8 +70,16 @@ void ModelChecker::begin_run() {
   if (!options_.enabled) return;
   nodes_.assign(num_nodes_, NodeLedger{});
   active_node_ = kNoNode;
+  // Fresh report, but the per-round series keep their capacity: a run no
+  // longer than an earlier one on this checker allocates nothing.
+  std::vector<std::uint32_t> widths = std::move(report_.round_max_message_bits);
+  std::vector<std::uint32_t> k = std::move(report_.round_k);
+  widths.clear();
+  k.clear();
   report_ = ModelCheckReport{};
   report_.edge_bit_budget = edge_bit_budget_;
+  report_.round_max_message_bits = std::move(widths);
+  report_.round_k = std::move(k);
 }
 
 namespace {

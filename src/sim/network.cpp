@@ -230,23 +230,11 @@ void Network::step_node(Algorithm& algorithm, graph::NodeId v,
     const Inbox inbox = current_inbox(v, lane);
     checker_.on_consume(check, inbox.messages, inbox.rng_bearing, round_);
     algorithm.on_round(ctx, inbox.messages);
-    // Actual-width accounting (RoundDelta::payload_bits): sum the real
-    // per-message widths of the consumed inbox. Commutative, so worker
-    // threads may feed the attached registry's histogram directly.
-    std::uint64_t consumed_bits = 0;
-    obs::Registry* const reg = obs::registry();
-    for (const Message& m : inbox.messages) {
-      const std::uint64_t bits = message_bits(m);
-      consumed_bits += bits;
-      if (reg != nullptr) reg->observe("sim.message_bits", bits);
-    }
-    if (lane) {
-      lane->messages += inbox.messages.size();
-      lane->payload_bits += consumed_bits;
-    } else {
-      stats_.messages += inbox.messages.size();
-      round_payload_bits_ += consumed_bits;
-    }
+    // Actual-width accounting (RoundDelta::payload_bits and the
+    // sim.message_bits histogram), resolved at the round barrier.
+    WidthCounts& widths = lane ? lane->widths : round_widths_;
+    for (const Message& m : inbox.messages) ++widths[message_bits(m)];
+    (lane ? lane->messages : stats_.messages) += inbox.messages.size();
   }
   checker_.end_callback(check);
 }
@@ -321,7 +309,9 @@ void Network::run_phase_parallel(Algorithm& algorithm) {
       }
     }
     stats_.messages += lane.messages;
-    round_payload_bits_ += lane.payload_bits;
+    for (std::size_t w = 0; w < round_widths_.size(); ++w) {
+      round_widths_[w] += lane.widths[w];
+    }
     stats_.max_edge_load = std::max(stats_.max_edge_load, lane.max_edge_load);
     num_halted_ += lane.halts;
     rng_draws_ += lane.rng_draws;
@@ -372,7 +362,7 @@ RunStats Network::run(Algorithm& algorithm, std::uint32_t max_rounds,
   last_round_ = RoundDelta{};
   round_fault_drops_ = 0;
   round_fault_duplicates_ = 0;
-  round_payload_bits_ = 0;
+  round_widths_.fill(0);
   checker_.begin_run();
 
   RoundFaultEvents events{};
@@ -463,7 +453,10 @@ void Network::flush_round_accounting(std::uint64_t messages_before,
                                      RoundFaultEvents events) {
   last_round_.round = round_;
   last_round_.messages = stats_.messages - messages_before;
-  last_round_.payload_bits = round_payload_bits_;
+  last_round_.payload_bits = 0;
+  for (std::size_t w = 0; w < round_widths_.size(); ++w) {
+    last_round_.payload_bits += w * round_widths_[w];
+  }
   last_round_.fault_drops = round_fault_drops_;
   last_round_.fault_duplicates = round_fault_duplicates_;
   last_round_.fault_crashes = events.crashes;
@@ -500,6 +493,7 @@ void Network::flush_round_accounting(std::uint64_t messages_before,
   if (obs::Registry* const reg = obs::registry()) {
     reg->add("sim.messages", last_round_.messages);
     reg->add("sim.payload_bits", last_round_.payload_bits);
+    reg->observe_counts("sim.message_bits", round_widths_);
     if (fault_ != nullptr) {
       reg->add("sim.fault.drops", last_round_.fault_drops);
       reg->add("sim.fault.duplicates", last_round_.fault_duplicates);
@@ -510,7 +504,7 @@ void Network::flush_round_accounting(std::uint64_t messages_before,
   }
   round_fault_drops_ = 0;
   round_fault_duplicates_ = 0;
-  round_payload_bits_ = 0;
+  round_widths_.fill(0);
 }
 
 graph::NodeId NodeContext::degree() const noexcept {

@@ -74,6 +74,7 @@
 // arena-vs-reference fuzz in tests/test_fuzz.cpp are the proof).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -193,6 +194,12 @@ struct FlaggedInbox {
   }
 };
 
+/// Messages consumed in one round, by actual width: entry w counts the
+/// messages whose message_bits() is w. The round's payload bits and its
+/// sim.message_bits histogram are both read off these counts at the
+/// barrier.
+using WidthCounts = std::array<std::uint64_t, kBitsPerMessage + 1>;
+
 /// Per-worker staging area of the parallel round executor. Everything a
 /// callback would have written to shared simulator state is buffered here
 /// and merged at the round barrier in shard order (see the determinism-
@@ -211,7 +218,7 @@ struct ExecLane {
   /// lanes in shard order reproduces the serial send order.
   std::vector<StagedSend> sends;
   std::uint64_t messages = 0;      ///< delivered messages consumed
-  std::uint64_t payload_bits = 0;  ///< actual bits consumed (message_bits)
+  WidthCounts widths{};            ///< consumed messages by message_bits
   std::uint64_t rng_draws = 0;     ///< logical draws made in this shard
   std::uint32_t max_edge_load = 0;
   graph::NodeId halts = 0;         ///< nodes newly halted in this shard
@@ -229,7 +236,7 @@ struct ExecLane {
   void reset() noexcept {
     sends.clear();
     messages = 0;
-    payload_bits = 0;
+    widths.fill(0);
     rng_draws = 0;
     max_edge_load = 0;
     halts = 0;
@@ -353,7 +360,8 @@ class Network {
   /// Invokes the callback of one node (shared by both executors).
   void step_node(Algorithm& algorithm, graph::NodeId v, ExecLane* lane);
   /// Barrier bookkeeping: fills last_round_, flushes the round's fault
-  /// drop/duplicate counts to the injector's ledger.
+  /// drop/duplicate counts to the injector's ledger and its counters and
+  /// width counts to the attached registry.
   void flush_round_accounting(std::uint64_t messages_before,
                               RoundFaultEvents events);
 
@@ -417,9 +425,9 @@ class Network {
   RunStats stats_;
   RoundDelta last_round_;
   std::uint64_t rng_draws_ = 0;  ///< run-wide logical draws (all nodes)
-  // Actual consumed bits of the round in progress (serial executor writes
-  // directly; the parallel merge folds the lane counters in here).
-  std::uint64_t round_payload_bits_ = 0;
+  // Consumed-message widths of the round in progress (serial executor
+  // writes directly; the parallel merge folds the lane counts in here).
+  WidthCounts round_widths_{};
   // Fault drop/duplicate counts of the round in progress (serial executor
   // writes directly; the parallel merge folds the lane counters in here).
   std::uint64_t round_fault_drops_ = 0;

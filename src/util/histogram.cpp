@@ -62,16 +62,17 @@ std::string Histogram::to_string(std::size_t bar_width) const {
   return out.str();
 }
 
-void Log2Histogram::add(std::uint64_t x) noexcept {
-  ++total_;
+void Log2Histogram::add(std::uint64_t x, std::uint64_t count) noexcept {
+  if (count == 0) return;
+  total_ += count;
   max_value_ = std::max(max_value_, x);
   if (x == 0) {
-    ++zero_;
+    zero_ += count;
     return;
   }
   const auto b = static_cast<std::size_t>(std::bit_width(x) - 1);
   if (b >= counts_.size()) counts_.resize(b + 1, 0);
-  ++counts_[b];
+  counts_[b] += count;
 }
 
 std::string Log2Histogram::to_string(std::size_t bar_width) const {

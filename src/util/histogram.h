@@ -42,7 +42,9 @@ class Histogram {
 /// [2^b, 2^(b+1)), with a dedicated zero bucket.
 class Log2Histogram {
  public:
-  void add(std::uint64_t x) noexcept;
+  void add(std::uint64_t x) noexcept { add(x, 1); }
+  /// `count` observations of `x` at once; add(x, 0) changes nothing.
+  void add(std::uint64_t x, std::uint64_t count) noexcept;
 
   std::uint64_t zero_count() const noexcept { return zero_; }
   std::size_t bucket_count() const noexcept { return counts_.size(); }
@@ -53,6 +55,9 @@ class Log2Histogram {
   std::uint64_t max_value() const noexcept { return max_value_; }
 
   std::string to_string(std::size_t bar_width = 40) const;
+
+  friend bool operator==(const Log2Histogram&,
+                         const Log2Histogram&) = default;
 
  private:
   std::uint64_t zero_ = 0;

@@ -28,22 +28,23 @@ namespace detail {
 void log_line(LogLevel level, std::string_view message);
 }
 
-/// Stream-style log statement: LOG(Info) << "x=" << x;
-/// The right-hand side is only evaluated when the level is enabled.
+/// True when a line at `level` passes the threshold.
+inline bool log_enabled(LogLevel level) noexcept {
+  return level >= log_level();
+}
+
+/// One log line, streamed into and emitted on destruction. Built only by
+/// ARBMIS_LOG, after the level has passed the threshold.
 class LogStatement {
  public:
   explicit LogStatement(LogLevel level) : level_(level) {}
-  ~LogStatement() {
-    if (enabled()) detail::log_line(level_, stream_.str());
-  }
+  ~LogStatement() { detail::log_line(level_, stream_.str()); }
   LogStatement(const LogStatement&) = delete;
   LogStatement& operator=(const LogStatement&) = delete;
 
-  bool enabled() const noexcept { return level_ >= log_level(); }
-
   template <typename T>
   LogStatement& operator<<(const T& value) {
-    if (enabled()) stream_ << value;
+    stream_ << value;
     return *this;
   }
 
@@ -54,5 +55,10 @@ class LogStatement {
 
 }  // namespace arbmis::util
 
-#define ARBMIS_LOG(level) \
-  ::arbmis::util::LogStatement(::arbmis::util::LogLevel::k##level)
+/// Stream-style log statement: ARBMIS_LOG(Info) << "x=" << x;
+/// The level is tested first: a filtered statement builds no stream and
+/// evaluates none of its operands.
+#define ARBMIS_LOG(level)                                                \
+  if (!::arbmis::util::log_enabled(::arbmis::util::LogLevel::k##level)) { \
+  } else                                                                 \
+    ::arbmis::util::LogStatement(::arbmis::util::LogLevel::k##level)

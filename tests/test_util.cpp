@@ -231,6 +231,25 @@ TEST(Log2Histogram, PowerBuckets) {
   EXPECT_EQ(h.max_value(), 1024u);
 }
 
+TEST(Log2Histogram, CountedAddEqualsRepeatedAdds) {
+  util::Log2Histogram bulk;
+  util::Log2Histogram single;
+  for (const std::uint64_t x : {0u, 1u, 7u, 8u, 72u, 1024u}) {
+    const std::uint64_t count = x % 5 + 1;
+    bulk.add(x, count);
+    for (std::uint64_t i = 0; i < count; ++i) single.add(x);
+  }
+  EXPECT_EQ(bulk, single);
+  EXPECT_EQ(bulk.total(), 1u + 2u + 3u + 4u + 3u + 5u);
+
+  // A zero count is a no-op: it must not raise max_value or add a bucket.
+  const util::Log2Histogram before = bulk;
+  bulk.add(std::uint64_t{1} << 40, 0);
+  bulk.add(0, 0);
+  EXPECT_EQ(bulk, before);
+  EXPECT_EQ(bulk.bucket_count(), before.bucket_count());
+}
+
 TEST(Table, AlignsAndEmitsCsv) {
   util::Table table({"name", "count", "ratio"});
   table.row().cell("alpha").cell(std::uint64_t{12}).cell(0.5);

@@ -21,12 +21,15 @@ A second, independent gate diffs "arbmis.metrics.v1" dumps (the --metrics=
 output of the bench binaries; see docs/OBSERVABILITY.md). Unlike timing,
 those counters are deterministic in (graph, seed, algorithm), so selected
 counters are compared by EXACT equality — any drift means the simulation
-semantics changed, not the machine:
+semantics changed, not the machine. A --metric that names a log2
+histogram (e.g. sim.message_bits) compares the whole histogram object —
+zero count, buckets, total and max_value — the same way:
 
     python3 tools/bench_gate.py \
         --metrics-baseline results/BENCH_metrics_smoke.json \
         --metrics-current  /tmp/metrics_now.json \
-        --metric sim.messages --metric sim.rounds --metric sim.rng_draws
+        --metric sim.messages --metric sim.rounds --metric sim.rng_draws \
+        --metric sim.message_bits
 
 Both gates may be combined in one invocation; the gate fails if either
 does.
@@ -50,15 +53,19 @@ def load_items_per_second(path):
     return out
 
 
-def load_metrics_counters(path):
-    """Returns the counters dict of an "arbmis.metrics.v1" dump."""
+def load_metrics(path):
+    """Returns {name: value} of an "arbmis.metrics.v1" dump: every counter,
+    and every log2 histogram as its whole JSON object."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     schema = doc.get("schema")
     if schema != "arbmis.metrics.v1":
         raise ValueError(f"{path}: schema {schema!r} is not "
                          "'arbmis.metrics.v1'")
-    return doc.get("counters", {})
+    out = {name: h for name, h in doc.get("histograms", {}).items()
+           if h.get("type") == "log2"}
+    out.update(doc.get("counters", {}))
+    return out
 
 
 def regen_hint(args):
@@ -71,9 +78,9 @@ def regen_hint(args):
 
 
 def gate_metrics(args):
-    """Exact-equality diff of selected counters; returns failure count."""
-    baseline = load_metrics_counters(args.metrics_baseline)
-    current = load_metrics_counters(args.metrics_current)
+    """Exact-equality diff of selected metrics; returns failure count."""
+    baseline = load_metrics(args.metrics_baseline)
+    current = load_metrics(args.metrics_current)
     failures = 0
     for name in args.metrics:
         if name not in baseline:
@@ -81,15 +88,15 @@ def gate_metrics(args):
             # counter, not that the code regressed — say exactly which
             # counter and how to regenerate, or every contributor rediscovers
             # the fix from the CI logs.
-            print(f"GATE ERROR: counter {name!r} missing from baseline "
+            print(f"GATE ERROR: metric {name!r} missing from baseline "
                   f"{args.metrics_baseline}\n"
-                  f"  The committed baseline does not know this counter. "
+                  f"  The committed baseline does not know this metric. "
                   f"To regenerate:\n"
                   f"    {regen_hint(args)}")
             failures += 1
             continue
         if name not in current:
-            print(f"GATE ERROR: counter {name!r} missing from current run "
+            print(f"GATE ERROR: metric {name!r} missing from current run "
                   f"{args.metrics_current}")
             failures += 1
             continue
@@ -148,8 +155,8 @@ def main(argv):
                         help="arbmis.metrics.v1 JSON from the run under test")
     parser.add_argument("--metric", action="append", default=[],
                         dest="metrics",
-                        help="counter name to diff by exact equality "
-                             "(repeatable)")
+                        help="counter or log2 histogram name to diff by "
+                             "exact equality (repeatable)")
     parser.add_argument("--regen-command", default=None,
                         help="exact command that regenerates the metrics "
                              "baseline; echoed in missing-counter errors")

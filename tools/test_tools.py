@@ -43,8 +43,9 @@ def gbench_json(items):
     })
 
 
-def metrics_json(counters, schema="arbmis.metrics.v1"):
-    return json.dumps({"schema": schema, "counters": counters})
+def metrics_json(counters, schema="arbmis.metrics.v1", histograms=None):
+    return json.dumps({"schema": schema, "counters": counters,
+                       "histograms": histograms or {}})
 
 
 class GateThroughputTest(unittest.TestCase):
@@ -95,13 +96,16 @@ class GateThroughputTest(unittest.TestCase):
 
 class GateMetricsTest(unittest.TestCase):
     def run_gate(self, base, cur, metrics=("sim.messages",),
-                 regen_command=None, capture=None):
+                 regen_command=None, capture=None, base_histograms=None,
+                 cur_histograms=None):
         with tempfile.TemporaryDirectory() as tmp:
             args = argparse.Namespace(
-                metrics_baseline=write_temp(tmp, "base.json",
-                                            metrics_json(base)),
-                metrics_current=write_temp(tmp, "cur.json",
-                                           metrics_json(cur)),
+                metrics_baseline=write_temp(
+                    tmp, "base.json",
+                    metrics_json(base, histograms=base_histograms)),
+                metrics_current=write_temp(
+                    tmp, "cur.json",
+                    metrics_json(cur, histograms=cur_histograms)),
                 metrics=list(metrics),
                 regen_command=regen_command)
             if capture is None:
@@ -148,12 +152,37 @@ class GateMetricsTest(unittest.TestCase):
         self.assertEqual(self.run_gate({"sim.messages": 1, "other": 5},
                                        {"sim.messages": 1, "other": 9}), 0)
 
+    def test_log2_histogram_is_compared_whole(self):
+        hist = {"type": "log2", "zero": 0, "buckets": [0, 0, 0, 5, 2],
+                "total": 7, "max_value": 17}
+        name = ("sim.message_bits",)
+        self.assertEqual(self.run_gate({}, {}, metrics=name,
+                                       base_histograms={name[0]: hist},
+                                       cur_histograms={name[0]: hist}), 0)
+        # Any field drifting fails, even with the total unchanged.
+        for field, value in (("buckets", [0, 0, 0, 6, 1]),
+                             ("max_value", 16), ("zero", 1)):
+            moved = dict(hist, **{field: value})
+            self.assertEqual(self.run_gate({}, {}, metrics=name,
+                                           base_histograms={name[0]: hist},
+                                           cur_histograms={name[0]: moved}),
+                             1, field)
+        # A missing histogram is a failure, and a linear histogram of the
+        # same name is not a log2 one.
+        self.assertEqual(self.run_gate({}, {}, metrics=name,
+                                       base_histograms={name[0]: hist}), 1)
+        linear = {"type": "linear", "lo": 0, "hi": 1, "buckets": [7],
+                  "underflow": 0, "overflow": 0, "total": 7}
+        self.assertEqual(self.run_gate({}, {}, metrics=name,
+                                       base_histograms={name[0]: linear},
+                                       cur_histograms={name[0]: linear}), 1)
+
     def test_wrong_schema_is_rejected(self):
         with tempfile.TemporaryDirectory() as tmp:
             path = write_temp(tmp, "bad.json",
                               metrics_json({}, schema="arbmis.metrics.v2"))
             with self.assertRaises(ValueError):
-                bench_gate.load_metrics_counters(path)
+                bench_gate.load_metrics(path)
 
 
 class BenchGateMainTest(unittest.TestCase):
