@@ -18,8 +18,8 @@
 // points — round barriers, run ends, driver code and the serving path's
 // request epilogue; the simulator's per-message widths reach the registry
 // once per round through observe_counts() — so the lock is uncontended.
-// It is kept so that a reader on another thread (a scrape) sees a whole
-// document.
+// It stays so that callers on different threads (a daemon's connection
+// threads, a scrape) never race.
 #pragma once
 
 #include <cstdint>

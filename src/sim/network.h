@@ -61,13 +61,17 @@
 // arena — filled in ascending sender id, which for sorted adjacency IS
 // port order, i.e. byte-identical to the retained vector-inbox reference
 // implementation. Delivery, lane merge, and fault-injected duplicates are
-// plain index writes into storage allocated once at construction: after
-// the constructor returns, a fault-free run performs zero heap
-// allocations in either executor. Fault duplicates (and runs that opt out
-// of enforce_congest) can exceed the one-slot-per-edge capacity; the
-// excess overflows into a per-node side buffer that is empty — and costs
-// nothing — on the normal path, keeping "<= 1 message per directed edge
-// per round" an enforced invariant rather than a load-bearing assumption.
+// plain index writes into storage allocated once at construction. Other
+// per-run storage (the parallel lanes' send buffers, the checker's
+// per-round series) keeps the capacity its longest run needed, so a
+// fault-free serial run with no registry attached allocates nothing once
+// an earlier run on the same Network needed as much
+// (tests/test_run_allocations.cpp is the proof). Fault duplicates (and
+// runs that opt out of enforce_congest) can exceed the one-slot-per-edge
+// capacity; the excess overflows into a per-node side buffer that is
+// empty — and costs nothing — on the normal path, keeping "<= 1 message
+// per directed edge per round" an enforced invariant rather than a
+// load-bearing assumption.
 // NetworkOptions::inbox / ScopedInboxImpl select the reference
 // implementation for differential tests (tests/test_message_arena.cpp,
 // the arena matrix in tests/test_parallel_equivalence.cpp, and the

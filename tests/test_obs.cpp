@@ -576,6 +576,25 @@ TEST(ObsRegistry, CountersGaugesAndHistograms) {
   EXPECT_EQ(mirrored.to_json(), json);
 }
 
+TEST(ObsRegistry, BulkObserveMatchesSingleObserves) {
+  std::vector<std::uint64_t> counts(73, 0);
+  obs::Registry bulk;
+  bulk.observe_counts("sim.message_bits", counts);  // all zero: no-op
+  EXPECT_EQ(bulk.to_json(), obs::Registry{}.to_json());
+
+  counts[8] = 3;
+  counts[13] = 1;
+  counts[72] = 2;
+  bulk.observe_counts("sim.message_bits", counts);
+  obs::Registry single;
+  for (std::size_t v = 0; v < counts.size(); ++v) {
+    for (std::uint64_t i = 0; i < counts[v]; ++i) {
+      single.observe("sim.message_bits", v);
+    }
+  }
+  EXPECT_EQ(bulk.to_json(), single.to_json());
+}
+
 TEST(ObsRegistry, RoundSeriesRespectsSampling) {
   obs::Registry reg(/*round_sample=*/2);
   reg.track_round_series("sim.messages");
