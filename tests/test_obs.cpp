@@ -508,7 +508,8 @@ TEST(ObsSink, BinaryWriterAndRecorderEncodeIdenticalRecords) {
           e.kind = static_cast<obs::EventKind>(k);
           e.round = kRounds[(i + k) % 4];
           e.text = text;
-          e.num_values = (k + 3 * i) % (obs::kMaxEventValues + 1);
+          e.num_values = static_cast<std::uint32_t>(
+              (k + 3 * i) % (obs::kMaxEventValues + 1));
           for (std::uint32_t j = 0; j < e.num_values; ++j) {
             e.values[j] = kEdges[(i + j) % 4];
           }
